@@ -87,13 +87,13 @@ let replay ~mode ~names ~net raws =
                 Watermark.observe_decode wm ~id:i ~dur_us:0.1;
                 Watermark.observe_admit wm ~id:i ~dur_us:0.;
                 Engine.set_wire_stamps engine ~decode_us ~admit_us:decode_us;
-                ignore (Engine.feed_wire engine ~id:i ~verdict:Ocep_obs.Provenance.In_order r);
+                Engine.feed_wire engine ~id:i ~verdict:Ocep_obs.Provenance.In_order r;
                 Watermark.observe_match wm ~id:i ~dur_us:(Clock.now_us () -. decode_us)
               end
               else begin
                 Watermark.advance_decode wm ~id:i;
                 Watermark.advance_admit wm ~id:i;
-                ignore (Engine.feed_wire engine ~id:i ~verdict:Ocep_obs.Provenance.In_order r);
+                Engine.feed_wire engine ~id:i ~verdict:Ocep_obs.Provenance.In_order r;
                 Watermark.advance_match wm ~id:i
               end;
               incr id)

@@ -1,5 +1,9 @@
-(* Temporary: capture per-pattern report digests for the 8 workloads
-   across sequential/4-worker and arena/record modes. *)
+(* Report digests of the 8 workloads, each run sequentially and with
+   the search pool forced on (4 workers), in arena and record mode. CI
+   diffs the output against bench/digest8.expected, so any change to
+   what the engine reports shows up there:
+
+     dune exec bench/digest8.exe | diff bench/digest8.expected - *)
 module Sim = Ocep_sim.Sim
 module Poet = Ocep_poet.Poet
 module Engine = Ocep.Engine

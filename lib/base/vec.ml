@@ -43,6 +43,12 @@ let clear v =
   v.data <- [||];
   v.len <- 0
 
+let reset v = v.len <- 0
+
+let truncate v n =
+  if n < 0 || n > v.len then invalid_arg "Vec.truncate: length out of range";
+  v.len <- n
+
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)

@@ -14,7 +14,19 @@ val replace_last : 'a t -> 'a -> unit
 (** Overwrite the last element; raises [Invalid_argument] if empty. *)
 
 val pop : 'a t -> 'a option
+
 val clear : 'a t -> unit
+(** Empty the vector and drop its backing array. *)
+
+val reset : 'a t -> unit
+(** Empty the vector but keep its capacity, so refilling it allocates
+    nothing until it outgrows the old length. The dropped elements stay
+    reachable from the backing array until overwritten. *)
+
+val truncate : 'a t -> int -> unit
+(** [truncate v n] keeps the first [n] elements (and the capacity).
+    Raises [Invalid_argument] unless [0 <= n <= length v]. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

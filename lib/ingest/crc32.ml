@@ -5,7 +5,8 @@
    The arithmetic runs on the native [int] — every intermediate stays
    within 32 bits, and unlike [Int32] the operations neither box nor
    allocate, which matters at one table lookup per payload byte on the
-   ingest hot path. Only the returned digest is an [int32]. *)
+   ingest hot path. The digest is returned as an unboxed native int
+   too, so the frame loop compares it without allocating. *)
 
 let table =
   lazy
@@ -25,6 +26,6 @@ let bytes b ~pos ~len =
     crc := Array.unsafe_get t ((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
            lxor (!crc lsr 8)
   done;
-  Int32.of_int (!crc lxor 0xFFFFFFFF)
+  !crc lxor 0xFFFFFFFF
 
 let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

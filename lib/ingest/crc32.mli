@@ -3,8 +3,9 @@
     table shared process-wide. Matches zlib's [crc32], so recorded logs
     can be checked with standard tooling. *)
 
-val bytes : Bytes.t -> pos:int -> len:int -> int32
-(** Raises [Invalid_argument] on an out-of-bounds slice. *)
+val bytes : Bytes.t -> pos:int -> len:int -> int
+(** The CRC as an unsigned 32-bit value in a native int. Raises
+    [Invalid_argument] on an out-of-bounds slice. *)
 
-val string : string -> int32
+val string : string -> int
 (** CRC of a whole string. *)

@@ -5,16 +5,15 @@ let max_frame = 1 lsl 20
 (* Frame primitives                                                  *)
 (* ---------------------------------------------------------------- *)
 
-let put_le32 oc (v : int32) =
+let put_le32 oc v =
   for i = 0 to 3 do
-    output_char oc
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v (8 * i)) land 0xff))
+    output_char oc (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
   done
 
 let write_frame oc payload =
   let len = String.length payload in
   if len > max_frame then invalid_arg "Framing: frame exceeds max_frame";
-  put_le32 oc (Int32.of_int len);
+  put_le32 oc len;
   put_le32 oc (Crc32.string payload);
   output_string oc payload
 
@@ -75,44 +74,51 @@ type reader = {
   traces : string array;
   hdr : Bytes.t;  (* 8-byte scratch for the length/CRC prefix *)
   mutable scratch : Bytes.t;  (* payload scratch, grown on demand *)
+  mutable crc : int;  (* claimed CRC of the frame last read *)
   mutable dead : bool;  (* Truncated was reported; everything after is Eof *)
 }
 
 exception Bad_header of string
 
-(* Read up to [len] bytes, returning how many arrived before EOF. *)
-let input_upto ic buf len =
-  let rec go off =
-    if off = len then len
-    else
-      match input ic buf off (len - off) with
-      | 0 -> off
-      | n -> go (off + n)
-  in
-  go 0
+(* Read up to [len - off] more bytes into [buf] from [off], returning
+   how many of the [len] arrived before EOF. *)
+let rec input_upto ic buf off len =
+  if off = len then len
+  else
+    match input ic buf off (len - off) with
+    | 0 -> off
+    | n -> input_upto ic buf (off + n) len
 
-(* Reads one complete raw frame: None = clean EOF before the frame,
-   Some (Error ()) = truncated or implausible length, Some (Ok _) =
-   length-delimited bytes with their claimed CRC (not yet verified). *)
-let read_frame ic =
-  let hdr = Bytes.create 8 in
-  match input_upto ic hdr 8 with
-  | 0 -> None
-  | n when n < 8 -> Some (Error ())
+(* unsigned little-endian 32-bit field at [off] *)
+let le32 b off =
+  Char.code (Bytes.unsafe_get b off)
+  lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
+  lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
+
+(* [read_frame]'s results other than a payload length *)
+let frame_eof = -1
+let frame_broken = -2
+
+(* Read one complete raw frame into the reader's scratch buffers and
+   return its payload length, leaving the claimed (not yet verified) CRC
+   in [r.crc]; [frame_eof] on a clean EOF before the frame,
+   [frame_broken] when it is truncated or its length implausible. Only
+   ints cross the call, so the frame loop allocates nothing here. *)
+let read_frame r =
+  match input_upto r.ic r.hdr 0 8 with
+  | 0 -> frame_eof
+  | n when n < 8 -> frame_broken
   | _ ->
-    let le32 off =
-      let v = ref 0l in
-      for i = 3 downto 0 do
-        v := Int32.logor (Int32.shift_left !v 8) (Int32.of_int (Char.code (Bytes.get hdr (off + i))))
-      done;
-      !v
-    in
-    let len = Int32.to_int (le32 0) in
-    let crc = le32 4 in
-    if len < 0 || len > max_frame then Some (Error ())
+    (* the length field is a signed 32-bit value: a prefix with the top
+       bit set reads as negative rather than as a huge length *)
+    let len = (le32 r.hdr 0 lsl (Sys.int_size - 32)) asr (Sys.int_size - 32) in
+    r.crc <- le32 r.hdr 4;
+    if len < 0 || len > max_frame then frame_broken
     else begin
-      let payload = Bytes.create len in
-      if input_upto ic payload len < len then Some (Error ()) else Some (Ok (payload, crc))
+      if Bytes.length r.scratch < len then
+        r.scratch <- Bytes.create (max len (2 * Bytes.length r.scratch));
+      if input_upto r.ic r.scratch 0 len < len then frame_broken else len
     end
 
 let create_reader ic =
@@ -121,60 +127,36 @@ let create_reader ic =
   | exception End_of_file -> raise (Bad_header "stream shorter than the magic")
   | () -> ());
   if Bytes.to_string m <> magic then raise (Bad_header "bad magic");
-  match read_frame ic with
-  | None | Some (Error ()) -> raise (Bad_header "missing or truncated header frame")
-  | Some (Ok (payload, crc)) ->
-    if Crc32.bytes payload ~pos:0 ~len:(Bytes.length payload) <> crc then
-      raise (Bad_header "header CRC mismatch");
-    (match Wire.decode payload ~pos:0 ~len:(Bytes.length payload) with
-    | exception Wire.Decode_error e -> raise (Bad_header ("undecodable header: " ^ e))
-    | h ->
-      if h.Wire.etype <> "traces" then raise (Bad_header "header frame is not a trace table");
-      let traces =
-        if h.Wire.text = "" then [||]
-        else Array.of_list (String.split_on_char '\x00' h.Wire.text)
-      in
-      if Array.length traces <> h.Wire.id then
-        raise (Bad_header "trace table length disagrees with its count");
-      { ic; traces; hdr = Bytes.create 8; scratch = Bytes.create 256; dead = false })
+  let r =
+    { ic; traces = [||]; hdr = Bytes.create 8; scratch = Bytes.create 256; crc = 0; dead = false }
+  in
+  let len = read_frame r in
+  if len < 0 then raise (Bad_header "missing or truncated header frame");
+  if Crc32.bytes r.scratch ~pos:0 ~len <> r.crc then raise (Bad_header "header CRC mismatch");
+  match Wire.decode r.scratch ~pos:0 ~len with
+  | exception Wire.Decode_error e -> raise (Bad_header ("undecodable header: " ^ e))
+  | h ->
+    if h.Wire.etype <> "traces" then raise (Bad_header "header frame is not a trace table");
+    let traces =
+      if h.Wire.text = "" then [||] else Array.of_list (String.split_on_char '\x00' h.Wire.text)
+    in
+    if Array.length traces <> h.Wire.id then
+      raise (Bad_header "trace table length disagrees with its count");
+    { r with traces }
 
 let reader_trace_names r = r.traces
-
-(* Like [read_frame] but into the reader's scratch buffers — the frame
-   loop allocates nothing per frame. Returns the payload length. *)
-let read_frame_into r =
-  match input_upto r.ic r.hdr 8 with
-  | 0 -> None
-  | n when n < 8 -> Some (Error ())
-  | _ ->
-    let le32 off =
-      let v = ref 0l in
-      for i = 3 downto 0 do
-        v :=
-          Int32.logor (Int32.shift_left !v 8) (Int32.of_int (Char.code (Bytes.get r.hdr (off + i))))
-      done;
-      !v
-    in
-    let len = Int32.to_int (le32 0) in
-    let crc = le32 4 in
-    if len < 0 || len > max_frame then Some (Error ())
-    else begin
-      if Bytes.length r.scratch < len then
-        r.scratch <- Bytes.create (max len (2 * Bytes.length r.scratch));
-      if input_upto r.ic r.scratch len < len then Some (Error ()) else Some (Ok (len, crc))
-    end
 
 let next r =
   if r.dead then Eof
   else
-    match read_frame_into r with
-    | None -> Eof
-    | Some (Error ()) ->
+    let len = read_frame r in
+    if len = frame_eof then Eof
+    else if len = frame_broken then begin
       r.dead <- true;
       Truncated
-    | Some (Ok (len, crc)) ->
-      if Crc32.bytes r.scratch ~pos:0 ~len <> crc then Crc_error
-      else (
-        match Wire.decode r.scratch ~pos:0 ~len with
-        | e -> Frame e
-        | exception Wire.Decode_error msg -> Bad_frame msg)
+    end
+    else if Crc32.bytes r.scratch ~pos:0 ~len <> r.crc then Crc_error
+    else
+      match Wire.decode r.scratch ~pos:0 ~len with
+      | e -> Frame e
+      | exception Wire.Decode_error msg -> Bad_frame msg

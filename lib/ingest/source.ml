@@ -117,13 +117,13 @@ let replay_stream ?(config = default_config) ?(tick = fun () -> ()) ~engine read
           Watermark.observe_admit wm ~id:w.Wire.id ~dur_us:(admit_us -. decode_us);
           Engine.set_wire_stamps engine ~decode_us ~admit_us;
           let t0 = Clock.now_us () in
-          ignore (Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w));
+          Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w);
           Watermark.observe_match wm ~id:w.Wire.id ~dur_us:(Clock.now_us () -. t0)
         end
         else begin
           (* unsampled: the engine still holds the window's stamps *)
           Watermark.advance_admit wm ~id:w.Wire.id;
-          ignore (Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w));
+          Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w);
           Watermark.advance_match wm ~id:w.Wire.id
         end)
       ()

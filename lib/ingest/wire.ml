@@ -54,47 +54,62 @@ let encode buf e =
     put_uvarint buf tag_receive;
     put_varint buf msg
 
-type cursor = { bytes : Bytes.t; stop : int; mutable pos : int }
+(* Decoding threads a plain byte position instead of a cursor record,
+   so that [decode] allocates nothing but the event it returns: each
+   field is read by [get_uvarint] and then skipped by [varint_end]. *)
 
-let get_uvarint c =
-  let rec go shift acc =
-    if c.pos >= c.stop then fail "truncated varint";
-    if shift >= Sys.int_size - 1 then fail "varint overflows int";
-    let b = Char.code (Bytes.get c.bytes c.pos) in
-    c.pos <- c.pos + 1;
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* The unsigned varint starting at [pos]; fails if it runs past [stop]
+   or is wider than an OCaml int. *)
+let rec uvarint b pos stop shift acc =
+  if pos >= stop then fail "truncated varint";
+  if shift >= Sys.int_size - 1 then fail "varint overflows int";
+  let byte = Char.code (Bytes.unsafe_get b pos) in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 = 0 then acc else uvarint b (pos + 1) stop (shift + 7) acc
 
-let get_varint c =
-  let n = get_uvarint c in
+let get_uvarint b pos stop = uvarint b pos stop 0 0
+
+(* The position just past the varint at [pos], once [get_uvarint] has
+   validated it. *)
+let rec varint_end b pos =
+  if Char.code (Bytes.unsafe_get b pos) land 0x80 = 0 then pos + 1 else varint_end b (pos + 1)
+
+let get_varint b pos stop =
+  let n = get_uvarint b pos stop in
   (n lsr 1) lxor (-(n land 1))
 
-let get_string c =
-  let len = get_uvarint c in
-  if len > c.stop - c.pos then fail "truncated string (%d bytes wanted)" len;
-  let s = Bytes.sub_string c.bytes c.pos len in
-  c.pos <- c.pos + len;
-  s
+(* A length-prefixed string; it ends at [varint_end b pos] plus its length. *)
+let get_string b pos stop =
+  let len = get_uvarint b pos stop in
+  let start = varint_end b pos in
+  if len > stop - start then fail "truncated string (%d bytes wanted)" len;
+  Bytes.sub_string b start len
 
 let decode bytes ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length bytes then
     invalid_arg "Wire.decode: slice out of bounds";
-  let c = { bytes; stop = pos + len; pos } in
-  let id = get_uvarint c in
-  let trace = get_uvarint c in
-  let seq = get_uvarint c in
-  let etype = get_string c in
-  let text = get_string c in
+  let stop = pos + len in
+  let id = get_uvarint bytes pos stop in
+  let pos = varint_end bytes pos in
+  let trace = get_uvarint bytes pos stop in
+  let pos = varint_end bytes pos in
+  let seq = get_uvarint bytes pos stop in
+  let pos = varint_end bytes pos in
+  let etype = get_string bytes pos stop in
+  let pos = varint_end bytes pos + String.length etype in
+  let text = get_string bytes pos stop in
+  let pos = varint_end bytes pos + String.length text in
+  let tag = get_uvarint bytes pos stop in
+  let pos = varint_end bytes pos in
   let kind =
-    match get_uvarint c with
+    match tag with
     | 0 -> Event.Internal
-    | 1 -> Event.Send { msg = get_varint c }
-    | 2 -> Event.Receive { msg = get_varint c }
+    | 1 -> Event.Send { msg = get_varint bytes pos stop }
+    | 2 -> Event.Receive { msg = get_varint bytes pos stop }
     | t -> fail "unknown kind tag %d" t
   in
-  if c.pos <> c.stop then fail "%d trailing bytes after event" (c.stop - c.pos);
+  let pos = if tag = 0 then pos else varint_end bytes pos in
+  if pos <> stop then fail "%d trailing bytes after event" (stop - pos);
   { id; trace; seq; etype; text; kind }
 
 let to_raw e =

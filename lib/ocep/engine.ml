@@ -168,7 +168,12 @@ type pstate = {
   psubset : Subset.t;
   pstats : Matcher.stats;
   pfirst_leaf : int array;  (* anchor leaf -> first-level leaf, -1 for k = 1 *)
-  pplans : Matcher.plan array;  (* anchor leaf -> precomputed search plan *)
+  pplans : Matcher.plan option array;
+      (* anchor leaf -> precomputed search plan, boxed once as the
+         optional argument [Matcher.search] takes, as are the two below:
+         a search then allocates nothing for its arguments *)
+  pstats_arg : Matcher.stats option;  (* [Some pstats] *)
+  ppins : (int * int) option array;  (* packed slot -> [Some (leaf, trace)], filled on demand *)
   pgcable : bool array;
   pgeneric : bool array;  (* leaf's type spec is wildcard/variable *)
   ppin_gen : int array array;  (* slot -> history generation at last failed pin, -1 none *)
@@ -199,8 +204,8 @@ type t = {
   flight : Flight.t option;
   m_staleness : Metrics.gauge array;  (* per trace, [||] when provenance is off *)
   (* wire provenance of the event currently being fed ([feed_wire] sets,
-     [on_event] consumes and clears): threading through mutable state
-     keeps [Poet.ingest]'s signature and allocates nothing per event.
+     [arrive] consumes and clears): threading through mutable state
+     keeps [Poet.ingest_flat]'s signature and allocates nothing per event.
      The timestamps live in a flat float array — a mutable float field
      of this mixed record would box on every store *)
   mutable pw_id : int;
@@ -230,7 +235,7 @@ type t = {
          candidate array (one bounds check and one load); edits are
          incremental, so add/remove_pattern cost does not grow with the
          number of registered patterns. *)
-  plan_cache : (string, Matcher.plan array * int array) Hashtbl.t;
+  plan_cache : (string, Matcher.plan option array * int array) Hashtbl.t;
       (* shape key -> (plans, first search leaves): template instances
          (and any structurally equal patterns) share one physical plan
          set — plans are immutable and depend only on the net's shape *)
@@ -242,9 +247,12 @@ type t = {
       (* class-predicate evaluations saved by node sharing: for each
          candidate node tested, subscribers-beyond-the-first many
          per-leaf tests collapse into the one node test *)
-  pin_batch : (pstate * int * int * int) Vec.t;
-      (* one round's surviving pinned searches across all patterns:
-         (pattern, anchor_leaf, pin_leaf, pin_trace) in (pattern_id, slot)
+  pb_pattern : pstate Vec.t;
+  pb_anchor : int Vec.t;
+  pb_slot : int Vec.t;
+      (* one round's surviving pinned searches across all patterns, as
+         parallel vectors: the pattern, its anchor leaf and the pinned
+         slot (packed, see Subset.pending_slot), in (pattern_id, slot)
          order — the deterministic merge order of the fan-out *)
   parallelism : int;  (* resolved: >= 1 *)
   mutable pool : Search_pool.t option;  (* spawned on first fan-out *)
@@ -507,7 +515,9 @@ let create_multi ?(config = default_config) ~poet () =
       plan_cache = Hashtbl.create 16;
       touched = Vec.create ();
       shared_evals = 0;
-      pin_batch = Vec.create ();
+      pb_pattern = Vec.create ();
+      pb_anchor = Vec.create ();
+      pb_slot = Vec.create ();
       parallelism;
       pool = None;
       events_processed = 0;
@@ -539,7 +549,7 @@ let create_multi ?(config = default_config) ~poet () =
      the (budget-capped) search is judged not worth it. Sequential and
      parallel modes build records and skips identically, so their
      equivalence is unaffected. *)
-  let consume_pin (p : pstate) (l, tr) outcome =
+  let consume_pin (p : pstate) l tr outcome =
     (match outcome with
     | Matcher.Not_found ->
       p.ppin_gen.(l).(tr) <- History.generation p.phistory ~leaf:l ~trace:tr;
@@ -552,19 +562,32 @@ let create_multi ?(config = default_config) ~poet () =
     | Matcher.Not_found -> "not_found"
     | Matcher.Aborted -> "aborted"
   in
-  let run_search ?pin (p : pstate) ~anchor_leaf ~anchor () =
+  (* the pin of a packed slot as [search]'s optional argument *)
+  let pin_arg (p : pstate) slot =
+    if slot < 0 then None
+    else
+      match p.ppins.(slot) with
+      | Some _ as pin -> pin
+      | None ->
+        let pin = Some (Subset.slot_leaf p.psubset slot, Subset.slot_trace p.psubset slot) in
+        p.ppins.(slot) <- pin;
+        pin
+  in
+  (* [slot] is the packed pinned slot, -1 for an anchored search *)
+  let run_search (p : pstate) ~anchor_leaf ~anchor ~slot =
+    let pin = pin_arg p slot in
     match t.tracer with
     | None ->
-      Matcher.search ~plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory ~n_traces
+      Matcher.search ?plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory ~n_traces
         ~trace_of_sym:t.trace_of_sym ~partner_of:t.partner_of ~anchor_leaf ~anchor ?pin
-        ?node_budget:config.node_budget ~stats:p.pstats ()
+        ?node_budget:config.node_budget ?stats:p.pstats_arg ()
     | Some tr ->
       let nodes0 = p.pstats.Matcher.nodes and backjumps0 = p.pstats.Matcher.backjumps in
       let t0 = Clock.now_us () in
       let outcome =
-        Matcher.search ~plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory ~n_traces
+        Matcher.search ?plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory ~n_traces
           ~trace_of_sym:t.trace_of_sym ~partner_of:t.partner_of ~anchor_leaf ~anchor ?pin
-          ?node_budget:config.node_budget ~stats:p.pstats ()
+          ?node_budget:config.node_budget ?stats:p.pstats_arg ()
       in
       let dt = Clock.now_us () -. t0 in
       let pin_leaf, pin_trace = match pin with Some (l, tr') -> (l, tr') | None -> (-1, -1) in
@@ -623,7 +646,7 @@ let create_multi ?(config = default_config) ~poet () =
     end
     | _ -> ()
   in
-  (* Skip decisions for one pattern's slots of one pinned batch, made
+  (* Skip decision for one of a pattern's slots in one pinned batch, made
      before any search of the batch runs so that inline and fanned-out
      execution agree. Each rule only skips searches that must return
      Not_found:
@@ -635,25 +658,77 @@ let create_multi ?(config = default_config) ~poet () =
      3. an identical pinned search failed before and neither the slot's
         history generation nor the pattern's match count has changed
         since. *)
-  let filter_slots (p : pstate) ~anchored_failed slots =
-    List.filter
-      (fun (l, tr) ->
-        let skip =
-          anchored_failed
-          || Vec.is_empty (History.on p.phistory ~leaf:l ~trace:tr)
-          || (p.ppin_gen.(l).(tr) >= 0
-             && p.ppin_gen.(l).(tr) = History.generation p.phistory ~leaf:l ~trace:tr
-             && p.ppin_matches.(l).(tr) = p.pmatches)
-        in
-        if skip then p.pskipped <- p.pskipped + 1;
-        not skip)
-      slots
+  let skip_slot (p : pstate) ~anchored_failed l tr =
+    anchored_failed
+    || Vec.is_empty (History.on p.phistory ~leaf:l ~trace:tr)
+    || (p.ppin_gen.(l).(tr) >= 0
+       && p.ppin_gen.(l).(tr) = History.generation p.phistory ~leaf:l ~trace:tr
+       && p.ppin_matches.(l).(tr) = p.pmatches)
   in
   (* Both thresholds at 0 force the pool for every batch (used by tests
      and reproductions that must exercise the parallel path). *)
   let forced_fan_out = config.cutover_batch = 0 && config.cutover_work = 0 in
   let ewma old x = if old <= 0. then x else (0.8 *. old) +. (0.2 *. x) in
   let calib_samples = 3 in
+  (* One round's pinned batch ([n] searches anchored at [ev]), run on
+     this domain or fanned out to the pool; defined once here so a round
+     allocates no closures. *)
+  let run_inline ev n =
+    for bi = 0 to n - 1 do
+      let p = Vec.get t.pb_pattern bi and slot = Vec.get t.pb_slot bi in
+      let l = Subset.slot_leaf p.psubset slot and tr = Subset.slot_trace p.psubset slot in
+      if not (Subset.is_covered p.psubset ~leaf:l ~trace:tr) then
+        consume_pin p l tr (run_search p ~anchor_leaf:(Vec.get t.pb_anchor bi) ~anchor:ev ~slot)
+    done
+  in
+  let fan_out ev n =
+    let results =
+      Search_pool.run (get_pool ()) ~n (fun i ->
+          let p = Vec.get t.pb_pattern i and anchor_leaf = Vec.get t.pb_anchor i in
+          let slot = Vec.get t.pb_slot i in
+          let l = Subset.slot_leaf p.psubset slot and tr = Subset.slot_trace p.psubset slot in
+          let stats = Matcher.new_stats () in
+          let search () =
+            (* plans are immutable, so sharing one across worker
+               domains is safe *)
+            Matcher.search ?plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory
+              ~n_traces ~trace_of_sym:t.trace_of_sym ~partner_of:t.partner_of ~anchor_leaf
+              ~anchor:ev ~pin:(l, tr) ?node_budget:config.node_budget ~stats ()
+          in
+          let outcome =
+            match t.tracer with
+            | None -> search ()
+            | Some trc ->
+              (* recorded on the executing domain: the span's tid
+                 is the worker's domain id, which is what puts
+                 worker rows in the Chrome trace *)
+              let ts = Clock.now_us () in
+              let o = search () in
+              let dt = Clock.now_us () -. ts in
+              Tracer.record_search trc ~name:"pinned" ~cat:"worker" ~ts_us:ts ~dur_us:dt
+                ~tid:(Stdlib.Domain.self () :> int)
+                ~pattern:p.pid ~anchor_leaf ~nodes:stats.Matcher.nodes
+                ~backjumps:stats.Matcher.backjumps ~outcome:(outcome_tag o) ~pin_leaf:l
+                ~pin_trace:tr;
+              o
+          in
+          (outcome, stats))
+    in
+    Array.iteri
+      (fun i (outcome, (s : Matcher.stats)) ->
+        let p = Vec.get t.pb_pattern i and slot = Vec.get t.pb_slot i in
+        let l = Subset.slot_leaf p.psubset slot and tr = Subset.slot_trace p.psubset slot in
+        p.pstats.Matcher.nodes <- p.pstats.Matcher.nodes + s.Matcher.nodes;
+        p.pstats.Matcher.backjumps <- p.pstats.Matcher.backjumps + s.Matcher.backjumps;
+        p.pstats.Matcher.searches <- p.pstats.Matcher.searches + s.Matcher.searches;
+        if s.Matcher.miss_level > p.pstats.Matcher.miss_level then begin
+          p.pstats.Matcher.miss_level <- s.Matcher.miss_level;
+          p.pstats.Matcher.miss_leaf <- s.Matcher.miss_leaf
+        end;
+        if not (Subset.is_covered p.psubset ~leaf:l ~trace:tr) then consume_pin p l tr outcome
+        else t.speculative_discards <- t.speculative_discards + 1)
+      results
+  in
   (* The arrival body, shared by both subscription modes: everything up
      to the searches needs only the scalar columns, so the arena path
      dispatches without touching the OCaml heap; the boxed view is
@@ -691,7 +766,7 @@ let create_multi ?(config = default_config) ~poet () =
        class predicate once, add the event to the node's history class,
        and queue every subscribing (pattern, leaf) pair onto the touched
        worklist *)
-    Vec.clear t.touched;
+    Vec.reset t.touched;
     let cands = Network.candidates t.network ~esym in
     for ci = 0 to Array.length cands - 1 do
       let n = Array.unsafe_get cands ci in
@@ -704,8 +779,8 @@ let create_multi ?(config = default_config) ~poet () =
           let (p : pstate), l = Array.unsafe_get subs si in
           if p.ptouched_seq <> seq then begin
             p.ptouched_seq <- seq;
-            Vec.clear p.pscratch;
-            Vec.clear p.panchors;
+            Vec.reset p.pscratch;
+            Vec.reset p.panchors;
             Vec.push t.touched p
           end;
           Vec.push p.pscratch (if p.pgeneric.(l) then generic_bit lor l else l)
@@ -748,7 +823,9 @@ let create_multi ?(config = default_config) ~poet () =
       let progressed = ref true in
       while !progressed do
         progressed := false;
-        Vec.clear t.pin_batch;
+        Vec.reset t.pb_pattern;
+        Vec.reset t.pb_anchor;
+        Vec.reset t.pb_slot;
         (* the O(1) work estimate for the batch: the largest
            first-search-level history among the contributing anchors *)
         let batch_work = ref 0 in
@@ -758,90 +835,42 @@ let create_multi ?(config = default_config) ~poet () =
               progressed := true;
               incr anchors_run;
               let anchor_leaf = Vec.get p.panchors !round in
-              let outcome = run_search p ~anchor_leaf ~anchor:ev () in
+              let outcome = run_search p ~anchor_leaf ~anchor:ev ~slot:(-1) in
               consume_outcome p outcome;
               if config.pin_searches then begin
-                (* a pin on the anchor leaf is either the anchor's own
-                   slot (just searched) or contradictory *)
-                let slots =
-                  List.filter
-                    (fun (l, _) -> l <> anchor_leaf)
-                    (Subset.uncovered_seen_slots p.psubset)
+                let anchored_failed =
+                  match outcome with Matcher.Not_found -> true | _ -> false
                 in
-                let surviving =
-                  if config.pin_filtering then
-                    filter_slots p ~anchored_failed:(outcome = Matcher.Not_found) slots
-                  else slots
-                in
-                if surviving <> [] then begin
+                let ps = p.psubset in
+                let survivors = ref 0 in
+                for si = 0 to Subset.pending_slots ps - 1 do
+                  let slot = Subset.pending_slot ps si in
+                  let l = Subset.slot_leaf ps slot in
+                  (* a pin on the anchor leaf is either the anchor's own
+                     slot (just searched) or contradictory *)
+                  if l <> anchor_leaf then begin
+                    if
+                      config.pin_filtering
+                      && skip_slot p ~anchored_failed l (Subset.slot_trace ps slot)
+                    then p.pskipped <- p.pskipped + 1
+                    else begin
+                      incr survivors;
+                      Vec.push t.pb_pattern p;
+                      Vec.push t.pb_anchor anchor_leaf;
+                      Vec.push t.pb_slot slot
+                    end
+                  end
+                done;
+                if !survivors > 0 then begin
                   let fsl = p.pfirst_leaf.(anchor_leaf) in
                   let work = if fsl < 0 then 0 else History.entries_for p.phistory ~leaf:fsl in
-                  if work > !batch_work then batch_work := work;
-                  List.iter
-                    (fun (l, tr) -> Vec.push t.pin_batch (p, anchor_leaf, l, tr))
-                    surviving
+                  if work > !batch_work then batch_work := work
                 end
               end
             end
         done;
-        let n = Vec.length t.pin_batch in
+        let n = Vec.length t.pb_slot in
         if n > 0 then begin
-          let run_inline () =
-            Vec.iter
-              (fun ((p : pstate), anchor_leaf, l, tr) ->
-                if not (Subset.is_covered p.psubset ~leaf:l ~trace:tr) then
-                  consume_pin p (l, tr) (run_search ~pin:(l, tr) p ~anchor_leaf ~anchor:ev ()))
-              t.pin_batch
-          in
-          let fan_out () =
-            let items = Vec.to_array t.pin_batch in
-            let results =
-              Search_pool.run (get_pool ()) ~n:(Array.length items) (fun i ->
-                  let (p : pstate), anchor_leaf, l, tr = items.(i) in
-                  let stats = Matcher.new_stats () in
-                  let search () =
-                    (* plans are immutable, so sharing one across worker
-                       domains is safe *)
-                    Matcher.search ~plan:p.pplans.(anchor_leaf) ~net:p.pinet
-                      ~history:p.phistory ~n_traces ~trace_of_sym:t.trace_of_sym
-                      ~partner_of:t.partner_of ~anchor_leaf ~anchor:ev ~pin:(l, tr)
-                      ?node_budget:config.node_budget ~stats ()
-                  in
-                  let outcome =
-                    match t.tracer with
-                    | None -> search ()
-                    | Some trc ->
-                      (* recorded on the executing domain: the span's tid
-                         is the worker's domain id, which is what puts
-                         worker rows in the Chrome trace *)
-                      let ts = Clock.now_us () in
-                      let o = search () in
-                      let dt = Clock.now_us () -. ts in
-                      Tracer.record_search trc ~name:"pinned" ~cat:"worker" ~ts_us:ts
-                        ~dur_us:dt
-                        ~tid:(Stdlib.Domain.self () :> int)
-                        ~pattern:p.pid ~anchor_leaf ~nodes:stats.Matcher.nodes
-                        ~backjumps:stats.Matcher.backjumps ~outcome:(outcome_tag o)
-                        ~pin_leaf:l ~pin_trace:tr;
-                      o
-                  in
-                  (outcome, stats))
-            in
-            Array.iteri
-              (fun i (outcome, (s : Matcher.stats)) ->
-                let (p : pstate), _, l, tr = items.(i) in
-                p.pstats.Matcher.nodes <- p.pstats.Matcher.nodes + s.Matcher.nodes;
-                p.pstats.Matcher.backjumps <- p.pstats.Matcher.backjumps + s.Matcher.backjumps;
-                p.pstats.Matcher.searches <- p.pstats.Matcher.searches + s.Matcher.searches;
-                if s.Matcher.miss_level > p.pstats.Matcher.miss_level then begin
-                  p.pstats.Matcher.miss_level <- s.Matcher.miss_level;
-                  p.pstats.Matcher.miss_leaf <- s.Matcher.miss_leaf
-                end;
-                if not (Subset.is_covered p.psubset ~leaf:l ~trace:tr) then
-                  consume_pin p (l, tr) outcome
-                else t.speculative_discards <- t.speculative_discards + 1)
-              results
-          in
           (* Fan out only when there is enough surviving work to amortize
              the pool's wake/merge cost; above the static gate the
              cut-over self-calibrates on batch timings (see the config
@@ -852,8 +881,8 @@ let create_multi ?(config = default_config) ~poet () =
             && n >= max 2 config.cutover_batch
             && !batch_work >= config.cutover_work
           in
-          if forced_fan_out && t.parallelism > 1 then fan_out ()
-          else if not eligible then run_inline ()
+          if forced_fan_out && t.parallelism > 1 then fan_out ev n
+          else if not eligible then run_inline ev n
           else begin
             t.eligible_batches <- t.eligible_batches + 1;
             let fan =
@@ -865,7 +894,7 @@ let create_multi ?(config = default_config) ~poet () =
               end
             in
             let tb = Clock.now_us () in
-            if fan then fan_out () else run_inline ();
+            if fan then fan_out ev n else run_inline ev n;
             let per_slot = (Clock.now_us () -. tb) /. float_of_int n in
             if fan then begin
               t.ew_fan_us <- ewma t.ew_fan_us per_slot;
@@ -963,7 +992,7 @@ let register_pattern t net =
     match Hashtbl.find_opt t.plan_cache (Compile.shape_key inet) with
     | Some v -> v
     | None ->
-      let plans = Array.init k (fun l -> Matcher.plan ~net:inet ~anchor_leaf:l) in
+      let plans = Array.init k (fun l -> Some (Matcher.plan ~net:inet ~anchor_leaf:l)) in
       let first_leaf =
         Array.init k (fun l ->
             match Matcher.first_search_leaf ~net:inet ~anchor_leaf:l with
@@ -982,6 +1011,7 @@ let register_pattern t net =
         if created then History.ensure_class t.store n.Network.nid;
         n)
   in
+  let pstats = Matcher.new_stats () in
   let p =
     {
       pid;
@@ -990,7 +1020,9 @@ let register_pattern t net =
       phistory =
         History.view t.store ~classes:(Array.map (fun n -> n.Network.nid) nodes);
       psubset = Subset.create ~k ~n_traces:t.n_traces ~report_cap:t.cfg.report_cap ();
-      pstats = Matcher.new_stats ();
+      pstats;
+      pstats_arg = Some pstats;
+      ppins = Array.make (k * t.n_traces) None;
       pfirst_leaf = first_leaf;
       pplans = plans;
       pgcable = gc_able_leaves net;
@@ -1073,7 +1105,7 @@ let find_containing_in t (p : pstate) (ev : Event.t) =
     | [] -> None
     | anchor_leaf :: rest -> (
       match
-        Matcher.search ~plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory
+        Matcher.search ?plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory
           ~n_traces:t.n_traces ~trace_of_sym:t.trace_of_sym ~partner_of:t.partner_of
           ~anchor_leaf ~anchor:ev ~stats:p.pstats ()
       with
@@ -1247,7 +1279,7 @@ let set_wire_stamps t ~decode_us ~admit_us =
 let feed_wire t ~id ~verdict raw =
   t.pw_id <- id;
   t.pw_verdict <- Ocep_obs.Provenance.verdict_to_int verdict;
-  Poet.ingest t.poet raw
+  ignore (Poet.ingest_flat t.poet raw : int)
 
 let flight t = t.flight
 

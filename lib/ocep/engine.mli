@@ -344,12 +344,13 @@ val set_wire_stamps : t -> decode_us:float -> admit_us:float -> unit
     arguments to a cross-library call are boxed — while stamps change
     only on the ingest path's sampled records and buffered releases. *)
 
-val feed_wire :
-  t -> id:int -> verdict:Ocep_obs.Provenance.verdict -> Event.raw -> Event.t
-(** {!feed_raw} with wire provenance: the admission layer's verdict and
-    the current {!set_wire_stamps} timestamps are stamped into the
-    flight recorder alongside the dispatch timestamp. A no-op relative
-    to [feed_raw] when the config's [provenance] is off. *)
+val feed_wire : t -> id:int -> verdict:Ocep_obs.Provenance.verdict -> Event.raw -> unit
+(** {!feed_raw_flat} with wire provenance: the admission layer's verdict
+    and the current {!set_wire_stamps} timestamps are stamped into the
+    flight recorder alongside the dispatch timestamp. Like
+    [feed_raw_flat] it returns nothing, so an event that matches no
+    class is never boxed. Identical to [feed_raw_flat] when the config's
+    [provenance] is off. *)
 
 val flight : t -> Flight.t option
 (** The flight recorder, present when the config's [provenance] is on. *)

@@ -132,9 +132,9 @@ let note_comm t ev = note_comm_store t.store ev
 
 let index_push tbl xsym pos =
   let v =
-    match Itbl.find_opt tbl xsym with
-    | Some v -> v
-    | None ->
+    match Itbl.find tbl xsym with
+    | v -> v
+    | exception Not_found ->
       let v = Vec.create () in
       Itbl.replace tbl xsym v;
       v
@@ -235,7 +235,13 @@ let add t ~leaf ev = add_cls t.store t.cls_of.(leaf) ev
 
 let on t ~leaf ~trace = t.cls_of.(leaf).hist.(trace)
 
-let positions_for_text t ~leaf ~trace xsym = Itbl.find_opt t.cls_of.(leaf).by_text.(trace) xsym
+(* never pushed to: the shared answer for a text with no positions *)
+let no_positions : int Vec.t = Vec.create ()
+
+let positions_for_text t ~leaf ~trace xsym =
+  match Itbl.find t.cls_of.(leaf).by_text.(trace) xsym with
+  | pv -> pv
+  | exception Not_found -> no_positions
 
 let generation t ~leaf ~trace = t.cls_of.(leaf).gens.(trace)
 

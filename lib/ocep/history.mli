@@ -138,10 +138,14 @@ val add : t -> leaf:int -> Event.t -> unit
 val on : t -> leaf:int -> trace:int -> entry Vec.t
 (** The (live) history vector; callers must not mutate it. *)
 
-val positions_for_text : t -> leaf:int -> trace:int -> int -> int Ocep_base.Vec.t option
+val positions_for_text : t -> leaf:int -> trace:int -> int -> int Ocep_base.Vec.t
 (** Positions (ascending) of the leaf's entries on the trace whose text
     symbol equals the given id — the candidate index used when the leaf's
-    text attribute is an exact string or an already-bound variable. *)
+    text attribute is an exact string or an already-bound variable.
+    {!no_positions} when there are none. Callers must not mutate it. *)
+
+val no_positions : int Ocep_base.Vec.t
+(** The shared empty answer of {!positions_for_text}. *)
 
 val generation : t -> leaf:int -> trace:int -> int
 (** Monotone counter bumped on every mutation (append, pruning replace,

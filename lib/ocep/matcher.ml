@@ -20,46 +20,55 @@ let field_value (ev : Event.t) = function
   | Compile.Ftyp -> ev.esym
   | Compile.Ftext -> ev.xsym
 
-(* Search context shared by the two entry points. *)
+(* Search context shared by the two entry points. Every field is
+   mutable because the context is scratch: [search] refills a per-domain
+   one at entry instead of allocating it (see [acquire]). [assigned] and
+   [levels] may be longer than [k]; only the first [k] slots are live. *)
 type ctx = {
-  inet : Compile.inet;
-  net : Compile.t;  (* = inet.net, saves a field chase in the loops *)
-  history : History.t;
-  n_traces : int;
-  trace_of_sym : int -> int option;
-  partner_of : Event.t -> Event.t option;
-  k : int;
-  order : int array;  (* level -> leaf *)
-  level_of : int array;  (* leaf -> level *)
-  assigned : Event.t array;  (* by leaf; Event.none (by ==) when unassigned *)
-  partner_links : int list array;  (* leaf -> partner-constrained leaves *)
-  pin : (int * int) option;
-  all_traces : int array;  (* [|0..n_traces-1|], shared by every level *)
-  stats : stats;
-  node_budget : int;
-  start_nodes : int;
+  mutable inet : Compile.inet;
+  mutable net : Compile.t;  (* = inet.net, saves a field chase in the loops *)
+  mutable history : History.t;
+  mutable n_traces : int;
+  mutable trace_of_sym : int -> int option;
+  mutable partner_of : Event.t -> Event.t option;
+  mutable k : int;
+  mutable order : int array;  (* level -> leaf *)
+  mutable level_of : int array;  (* leaf -> level *)
+  mutable assigned : Event.t array;  (* by leaf; Event.none (by ==) when unassigned *)
+  mutable partner_links : int list array;  (* leaf -> partner-constrained leaves *)
+  mutable pin_leaf : int;  (* -1: no pin *)
+  mutable pin_trace : int;
+  mutable stats : stats;
+  mutable node_budget : int;
+  mutable start_nodes : int;
       (* [stats.nodes] at search entry: callers share one cumulative stats
          record across searches, so the budget must be charged against the
          nodes expanded by THIS search only *)
+  mutable levels : level_state array;  (* by level; reinitialized on descent *)
+  mutable busy : bool;  (* a search is running on this context *)
 }
 
-(* Per-level search state. [cursor] is the next position to try on the
-   current trace (descending, newest-first); -1 requests the next trace.
-   [conflicts] is a bitset of levels (bit l = level l), which is why the
-   matcher caps patterns at 62 leaves. *)
-type level_state = {
-  leaf : int;
-  traces : int array;
-  text_filter : int;
+(* Per-level search state, preallocated and reset by [init_level].
+   The traces a level iterates are all traces in order ([one_trace] =
+   -1, trace at index ix is ix), exactly one, or none ([ntraces] = 0).
+   [cursor] is the next position to try on the current trace
+   (descending, newest-first); -1 requests the next trace. [conflicts]
+   is a bitset of levels (bit l = level l), which is why the matcher
+   caps patterns at 62 leaves. *)
+and level_state = {
+  mutable leaf : int;
+  mutable ntraces : int;
+  mutable one_trace : int;
+  mutable text_filter : int;
       (* symbol id of the exact text the candidate must carry (exact spec
          or bound variable), -1 for none: iterate the history's text index
          instead of the whole domain *)
   mutable trace_ix : int;
-  mutable dom : Interval.Set.t;
+  dom : Domain.t;
   mutable cursor : int;
-  mutable tvec : int Vec.t option;  (* text-index positions for current trace *)
-  mutable tix : int;  (* descending index into tvec *)
-  mutable partner_source : int option;  (* leaf providing the partner event *)
+  mutable tvec : int Vec.t;  (* text-index positions for the current trace *)
+  mutable tix : int;  (* descending index into tvec; -1 when exhausted *)
+  mutable partner_source : int;  (* leaf providing the partner event, -1 none *)
   mutable partner_done : bool;
   mutable conflicts : int;  (* bitset of levels *)
 }
@@ -158,124 +167,121 @@ let plan_of ~(net : Compile.inet) ~anchor_leaf =
     net.Compile.net.Compile.partners;
   { plan_anchor = anchor_leaf; plan_order = order; plan_level_of = level_of; plan_partner_links = partner_links }
 
-(* [plan] is also the name of [make_ctx]'s optional argument *)
+(* [plan] is also the name of [search]'s optional argument *)
 let plan = plan_of
 
-(* The symbol an attribute variable is currently bound to, with the level
-   of the leaf that bound it; (-1, _) when unbound. *)
-let binding ctx v =
-  let occs = ctx.inet.Compile.var_occs.(v) in
-  let n = Array.length occs in
-  let rec loop i =
-    if i >= n then (-1, -1)
-    else
-      let j, f = occs.(i) in
-      let e = ctx.assigned.(j) in
-      if e != Event.none then (field_value e f, ctx.level_of.(j)) else loop (i + 1)
-  in
-  loop 0
+(* The first instantiated occurrence of attribute variable [v], as an
+   index into [var_occs.(v)]; -1 when [v] is unbound. *)
+let rec first_bound ctx occs i =
+  if i >= Array.length occs then -1
+  else
+    let j, _ = Array.unsafe_get occs i in
+    if Array.unsafe_get ctx.assigned j != Event.none then i else first_bound ctx occs (i + 1)
 
-let all_traces ctx = ctx.all_traces
+let bound_occ ctx v = first_bound ctx ctx.inet.Compile.var_occs.(v) 0
 
-let trace_list ctx st_conflicts leaf =
-  match ctx.pin with
-  | Some (l, t) when l = leaf -> [| t |]
-  | _ -> (
+(* The symbol variable [v] is bound to, after [bound_occ] found it at
+   [occ]; the binding leaf's level joins the conflict set. *)
+let bound_sym ctx st v occ =
+  let j, f = ctx.inet.Compile.var_occs.(v).(occ) in
+  add_conflict st ctx.level_of.(j);
+  field_value ctx.assigned.(j) f
+
+let only_trace st = function
+  | Some t ->
+    st.ntraces <- 1;
+    st.one_trace <- t
+  | None -> st.ntraces <- 0
+
+let set_traces ctx st leaf =
+  st.one_trace <- -1;
+  st.ntraces <- ctx.n_traces;
+  if ctx.pin_leaf = leaf then only_trace st (Some ctx.pin_trace)
+  else
     match ctx.inet.Compile.iproc.(leaf) with
-    | Compile.I_exact sym -> (
-      match ctx.trace_of_sym sym with Some t -> [| t |] | None -> [||])
-    | Compile.I_var v -> (
-      let sym, lvl = binding ctx v in
-      if sym < 0 then all_traces ctx
-      else begin
-        add_conflict st_conflicts lvl;
-        match ctx.trace_of_sym sym with Some t -> [| t |] | None -> [||]
-      end)
-    | Compile.I_any -> all_traces ctx)
+    | Compile.I_exact sym -> only_trace st (ctx.trace_of_sym sym)
+    | Compile.I_var v ->
+      let occ = bound_occ ctx v in
+      if occ >= 0 then only_trace st (ctx.trace_of_sym (bound_sym ctx st v occ))
+    | Compile.I_any -> ()
+
+let trace_at st ix = if st.one_trace >= 0 then st.one_trace else ix
+
+let rec first_assigned ctx = function
+  | [] -> -1
+  | j :: rest -> if ctx.assigned.(j) != Event.none then j else first_assigned ctx rest
 
 let init_level ctx i =
+  let st = ctx.levels.(i) in
   let leaf = ctx.order.(i) in
-  let partner_source =
-    List.find_opt (fun j -> ctx.assigned.(j) != Event.none) ctx.partner_links.(leaf)
-  in
-  let st =
-    {
-      leaf;
-      traces = [||];
-      text_filter = -1;
-      trace_ix = -1;
-      dom = Interval.Set.empty;
-      cursor = -1;
-      tvec = None;
-      tix = -1;
-      partner_source;
-      partner_done = false;
-      conflicts = 0;
-    }
-  in
-  let traces = trace_list ctx st leaf in
-  let text_filter =
-    match ctx.inet.Compile.itext.(leaf) with
+  st.leaf <- leaf;
+  st.trace_ix <- -1;
+  st.cursor <- -1;
+  st.tix <- -1;
+  st.partner_source <- first_assigned ctx ctx.partner_links.(leaf);
+  st.partner_done <- false;
+  st.conflicts <- 0;
+  set_traces ctx st leaf;
+  st.text_filter <-
+    (match ctx.inet.Compile.itext.(leaf) with
     | Compile.I_exact sym -> sym
     | Compile.I_var v ->
-      let sym, lvl = binding ctx v in
-      if sym >= 0 then add_conflict st lvl;
-      sym
-    | Compile.I_any -> -1
-  in
-  { st with traces; text_filter }
+      let occ = bound_occ ctx v in
+      if occ >= 0 then bound_sym ctx st v occ else -1
+    | Compile.I_any -> -1)
 
-(* Compute the Fig. 4 domain of [leaf] on trace [t]: intersection of the
-   restrictions by every instantiated event. Every level whose constraint
-   shaped the domain joins the conflict set — if this level later wipes
-   out, any of them could be the culprit (their choices decide which
-   candidates were available at all), so a backjump must not skip them. *)
+(* Compute the Fig. 4 domain of [leaf] on trace [t] into the level's
+   domain: intersection of the restrictions by every instantiated event.
+   Every level whose constraint shaped the domain joins the conflict set
+   — if this level later wipes out, any of them could be the culprit
+   (their choices decide which candidates were available at all), so a
+   backjump must not skip them. *)
 let domain_on ctx st t =
   let leaf = st.leaf in
   let hist = History.on ctx.history ~leaf ~trace:t in
   let cons = ctx.net.Compile.cons.(leaf) in
-  let dom = ref (Domain.full hist) in
-  (try
-     for j = 0 to ctx.k - 1 do
-       let e = Array.unsafe_get ctx.assigned j in
-       if e != Event.none then
-         match Array.unsafe_get cons j with
-         | Some a ->
-           add_conflict st ctx.level_of.(j);
-           dom := Interval.Set.inter !dom (Domain.restrict hist ~trace:t ~w:e a);
-           if Interval.Set.is_empty !dom then raise Exit
-         | None -> ()
-     done
-   with Exit -> ());
-  !dom
+  let dom = st.dom in
+  Domain.set_full dom hist;
+  let j = ref 0 in
+  while !j < ctx.k && not (Domain.is_empty dom) do
+    let e = Array.unsafe_get ctx.assigned !j in
+    (if e != Event.none then
+       match Array.unsafe_get cons !j with
+       | Some a ->
+         add_conflict st ctx.level_of.(!j);
+         Domain.restrict dom hist ~trace:t ~w:e a
+       | None -> ());
+    incr j
+  done
 
 (* Does [x] satisfy every constraint against the instantiated events? On
    rejection the conflicting level is recorded for backjumping. [accept]
-   runs once per search node, so every pass below is an explicit loop —
-   closure-based iteration here was the search's dominant allocation. *)
+   runs once per search node, so every pass below is a top-level
+   recursive function taking its state as arguments: a closure — an
+   iterator's argument or a local [let rec] that captures variables —
+   is allocated each time it is created, and was the search's dominant
+   allocation. *)
 
 (* causal relations (already true for history candidates by construction;
    re-checked cheaply, and required for partner-derived candidates).
    Distinct unconstrained leaves may share an event, so an assigned leaf
    without a constraint needs no check. *)
-let cons_ok ctx st (x : Event.t) =
-  let cons = ctx.net.Compile.cons.(st.leaf) in
-  let rec loop j =
-    j >= ctx.k
-    ||
-    let e = Array.unsafe_get ctx.assigned j in
-    if e == Event.none then loop (j + 1)
-    else
-      match Array.unsafe_get cons j with
-      | None -> loop (j + 1)
-      | Some a ->
-        if Compile.allowed_of_relation (Event.relation x e) a then loop (j + 1)
-        else begin
-          add_conflict st ctx.level_of.(j);
-          false
-        end
-  in
-  loop 0
+let rec cons_from ctx st cons (x : Event.t) j =
+  j >= ctx.k
+  ||
+  let e = Array.unsafe_get ctx.assigned j in
+  if e == Event.none then cons_from ctx st cons x (j + 1)
+  else
+    match Array.unsafe_get cons j with
+    | None -> cons_from ctx st cons x (j + 1)
+    | Some a ->
+      if Compile.allowed_of_relation (Event.relation x e) a then cons_from ctx st cons x (j + 1)
+      else begin
+        add_conflict st ctx.level_of.(j);
+        false
+      end
+
+let cons_ok ctx st x = cons_from ctx st ctx.net.Compile.cons.(st.leaf) x 0
 
 (* partner links *)
 let rec partners_ok ctx st (x : Event.t) = function
@@ -298,48 +304,39 @@ let rec partners_ok ctx st (x : Event.t) = function
       end
 
 (* self-consistency: the leaf's other positions of [v] must carry [xv] *)
-let self_ok lvars (x : Event.t) ~v ~f ~xv =
-  let n = Array.length lvars in
-  let rec loop i =
-    i >= n
-    ||
-    let v', f' = Array.unsafe_get lvars i in
-    ((not (Int.equal v' v)) || f' = f || Int.equal (field_value x f') xv) && loop (i + 1)
-  in
-  loop 0
+let rec self_ok lvars (x : Event.t) ~v ~f ~xv i =
+  i >= Array.length lvars
+  ||
+  let v', f' = Array.unsafe_get lvars i in
+  ((not (Int.equal v' v)) || f' == f || Int.equal (field_value x f') xv)
+  && self_ok lvars x ~v ~f ~xv (i + 1)
 
 (* consistency of [v = xv] with its instantiated occurrences elsewhere *)
-let var_occs_ok ctx st ~leaf ~v ~xv =
-  let occs = ctx.inet.Compile.var_occs.(v) in
-  let n = Array.length occs in
-  let rec loop i =
-    i >= n
-    ||
-    let j, f2 = Array.unsafe_get occs i in
-    if j = leaf then loop (i + 1)
-    else
-      let e = ctx.assigned.(j) in
-      if e == Event.none || Int.equal (field_value e f2) xv then loop (i + 1)
-      else begin
-        add_conflict st ctx.level_of.(j);
-        false
-      end
-  in
-  loop 0
+let rec var_occs_ok ctx st occs ~leaf ~xv i =
+  i >= Array.length occs
+  ||
+  let j, f2 = Array.unsafe_get occs i in
+  if j = leaf then var_occs_ok ctx st occs ~leaf ~xv (i + 1)
+  else
+    let e = ctx.assigned.(j) in
+    if e == Event.none || Int.equal (field_value e f2) xv then
+      var_occs_ok ctx st occs ~leaf ~xv (i + 1)
+    else begin
+      add_conflict st ctx.level_of.(j);
+      false
+    end
 
 (* attribute variables: self-consistency and consistency with bindings *)
-let vars_ok ctx st (x : Event.t) =
-  let leaf = st.leaf in
-  let lvars = ctx.inet.Compile.leaf_vars.(leaf) in
-  let n = Array.length lvars in
-  let rec loop i =
-    i >= n
-    ||
-    let v, f = Array.unsafe_get lvars i in
-    let xv = field_value x f in
-    self_ok lvars x ~v ~f ~xv && var_occs_ok ctx st ~leaf ~v ~xv && loop (i + 1)
-  in
-  loop 0
+let rec vars_from ctx st lvars (x : Event.t) i =
+  i >= Array.length lvars
+  ||
+  let v, f = Array.unsafe_get lvars i in
+  let xv = field_value x f in
+  self_ok lvars x ~v ~f ~xv 0
+  && var_occs_ok ctx st ctx.inet.Compile.var_occs.(v) ~leaf:st.leaf ~xv 0
+  && vars_from ctx st lvars x (i + 1)
+
+let vars_ok ctx st x = vars_from ctx st ctx.inet.Compile.leaf_vars.(st.leaf) x 0
 
 let accept ctx st (x : Event.t) =
   cons_ok ctx st x
@@ -363,15 +360,16 @@ let bump_nodes ctx =
   ctx.stats.nodes <- ctx.stats.nodes + 1;
   if ctx.stats.nodes - ctx.start_nodes > ctx.node_budget then raise Budget
 
-(* Next raw candidate at this level, newest-first across the trace list. *)
+(* Next raw candidate at this level, newest-first across the trace
+   list; [Event.none] when the level is exhausted. *)
 let rec next_candidate ctx st =
-  match st.partner_source with
-  | Some j -> (
-    if st.partner_done then None
+  if st.partner_source >= 0 then begin
+    if st.partner_done then Event.none
     else begin
       st.partner_done <- true;
+      let j = st.partner_source in
       let e = ctx.assigned.(j) in
-      if e == Event.none then None
+      if e == Event.none then Event.none
       else begin
         (* the level's single candidate is a function of level [j]'s
            choice, so exhausting this level is attributable to [j]
@@ -380,86 +378,68 @@ let rec next_candidate ctx st =
            untried events whose partners would succeed *)
         add_conflict st ctx.level_of.(j);
         match ctx.partner_of e with
-        | Some x when Compile.leaf_matches_i ctx.inet st.leaf x -> (
-          match ctx.pin with
-          | Some (l, t) when l = st.leaf && x.trace <> t -> None
-          | _ -> Some x)
-        | Some _ | None -> None
+        | Some x when Compile.leaf_matches_i ctx.inet st.leaf x ->
+          if ctx.pin_leaf = st.leaf && x.trace <> ctx.pin_trace then Event.none else x
+        | Some _ | None -> Event.none
       end
-    end)
-  | None -> (
-    match st.tvec with
-    | Some pv ->
-      (* text-indexed iteration: walk the index positions newest-first,
-         keeping those inside the causal domain *)
-      while st.tix >= 0 && not (Interval.Set.mem (Vec.get pv st.tix) st.dom) do
-        st.tix <- st.tix - 1
-      done;
-      if st.tix >= 0 then begin
-        let t = st.traces.(st.trace_ix) in
-        let hist = History.on ctx.history ~leaf:st.leaf ~trace:t in
-        let x = (Vec.get hist (Vec.get pv st.tix)).History.ev in
-        st.tix <- st.tix - 1;
-        Some x
-      end
-      else begin
-        st.tvec <- None;
-        advance_trace ctx st
-      end
-    | None ->
-      if st.cursor >= 0 then begin
-        let t = st.traces.(st.trace_ix) in
-        let hist = History.on ctx.history ~leaf:st.leaf ~trace:t in
-        let x = (Vec.get hist st.cursor).History.ev in
-        st.cursor <-
-          (match Interval.Set.next_below st.dom (st.cursor - 1) with Some p -> p | None -> -1);
-        Some x
-      end
-      else advance_trace ctx st)
+    end
+  end
+  else if st.text_filter >= 0 then begin
+    (* text-indexed iteration: walk the index positions newest-first,
+       keeping those inside the causal domain *)
+    let pv = st.tvec in
+    while st.tix >= 0 && not (Domain.mem st.dom (Vec.get pv st.tix)) do
+      st.tix <- st.tix - 1
+    done;
+    if st.tix >= 0 then begin
+      let hist = History.on ctx.history ~leaf:st.leaf ~trace:(trace_at st st.trace_ix) in
+      let x = (Vec.get hist (Vec.get pv st.tix)).History.ev in
+      st.tix <- st.tix - 1;
+      x
+    end
+    else advance_trace ctx st
+  end
+  else if st.cursor >= 0 then begin
+    let hist = History.on ctx.history ~leaf:st.leaf ~trace:(trace_at st st.trace_ix) in
+    let x = (Vec.get hist st.cursor).History.ev in
+    st.cursor <- Domain.next_below st.dom (st.cursor - 1);
+    x
+  end
+  else advance_trace ctx st
 
 and advance_trace ctx st =
-  if st.trace_ix + 1 >= Array.length st.traces then None
+  if st.trace_ix + 1 >= st.ntraces then Event.none
   else begin
     st.trace_ix <- st.trace_ix + 1;
-    let t = st.traces.(st.trace_ix) in
-    st.dom <- domain_on ctx st t;
-    if Interval.Set.is_empty st.dom then begin
+    let t = trace_at st st.trace_ix in
+    domain_on ctx st t;
+    if Domain.is_empty st.dom then begin
       st.cursor <- -1;
-      st.tvec <- None;
+      st.tix <- -1;
       advance_trace ctx st
     end
     else begin
-      (if st.text_filter >= 0 then (
-         match History.positions_for_text ctx.history ~leaf:st.leaf ~trace:t st.text_filter with
-         | Some pv ->
-           st.tvec <- Some pv;
-           st.tix <- Vec.length pv - 1;
-           st.cursor <- -1
-         | None ->
-           st.tvec <- None;
-           st.cursor <- -1)
-       else begin
-         st.tvec <- None;
-         st.cursor <- (match Interval.Set.max_elt st.dom with Some p -> p | None -> -1)
-       end);
+      if st.text_filter >= 0 then begin
+        let pv = History.positions_for_text ctx.history ~leaf:st.leaf ~trace:t st.text_filter in
+        st.tvec <- pv;
+        st.tix <- Vec.length pv - 1
+      end
+      else st.cursor <- Domain.max_elt st.dom;
       next_candidate ctx st
     end
   end
 
 let debug = Sys.getenv_opt "OCEP_DEBUG" <> None
 
-let next_acceptable ctx st =
-  let rec loop () =
-    match next_candidate ctx st with
-    | None -> None
-    | Some x ->
-      bump_nodes ctx;
-      let ok = accept ctx st x in
-      if debug then
-        Format.eprintf "  leaf %d candidate %a -> %b@." st.leaf Event.pp x ok;
-      if ok then Some x else loop ()
-  in
-  loop ()
+let rec next_acceptable ctx st =
+  let x = next_candidate ctx st in
+  if x == Event.none then x
+  else begin
+    bump_nodes ctx;
+    let ok = accept ctx st x in
+    if debug then Format.eprintf "  leaf %d candidate %a -> %b@." st.leaf Event.pp x ok;
+    if ok then x else next_acceptable ctx st
+  end
 
 (* Limited happens-before: no event of [leaf]'s class strictly causally
    between a and b, per trace, located with two binary searches. *)
@@ -477,31 +457,56 @@ let lim_ok ctx ~leaf ~a ~b =
   done;
   not !interposed
 
+(* The post-checks as explicit list recursions: they run once per
+   complete candidate assignment, where closures would allocate. *)
+let rec hb_to_any (m : Event.t array) i = function
+  | [] -> false
+  | j :: rest -> Event.hb m.(i) m.(j) || hb_to_any m i rest
+
+let rec any_hb m ly = function
+  | [] -> false
+  | i :: rest -> hb_to_any m i ly || any_hb m ly rest
+
+let rec exists_before_ok m = function
+  | [] -> true
+  | (lx, ly) :: rest -> any_hb m ly lx && exists_before_ok m rest
+
+let rec lim_checks_ok ctx m = function
+  | [] -> true
+  | (i, j) :: rest -> lim_ok ctx ~leaf:i ~a:m.(i) ~b:m.(j) && lim_checks_ok ctx m rest
+
 let post_checks ctx m =
-  List.for_all
-    (fun (lx, ly) -> List.exists (fun i -> List.exists (fun j -> Event.hb m.(i) m.(j)) ly) lx)
-    ctx.net.Compile.exists_before
-  && List.for_all (fun (i, j) -> lim_ok ctx ~leaf:i ~a:m.(i) ~b:m.(j)) ctx.net.Compile.lim_checks
+  exists_before_ok m ctx.net.Compile.exists_before
+  && lim_checks_ok ctx m ctx.net.Compile.lim_checks
 
-let extract ctx = Array.copy ctx.assigned
+(* the match, as a fresh array the caller owns *)
+let extract ctx = Array.sub ctx.assigned 0 ctx.k
 
-let make_ctx ?plan ~(net : Compile.inet) ~history ~n_traces ~trace_of_sym ~partner_of
-    ~anchor_leaf ~anchor ~pin ~node_budget ~stats () =
-  if not (Compile.leaf_matches_i net anchor_leaf anchor) then
-    invalid_arg "Matcher: anchor event does not match the anchor leaf";
-  (match pin with
-  | Some (l, t) when l = anchor_leaf && t <> (anchor : Event.t).trace ->
-    invalid_arg "Matcher: pin names the anchor leaf on a different trace"
-  | _ -> ());
-  let p =
-    match plan with
-    | Some p ->
-      if p.plan_anchor <> anchor_leaf then
-        invalid_arg "Matcher: plan was built for a different anchor leaf";
-      p
-    | None -> plan_of ~net ~anchor_leaf
-  in
-  let k = Compile.size net.Compile.net in
+let new_level ~capacity =
+  {
+    leaf = 0;
+    ntraces = 0;
+    one_trace = -1;
+    text_filter = -1;
+    trace_ix = -1;
+    dom = Domain.create ~capacity;
+    cursor = -1;
+    tvec = History.no_positions;
+    tix = -1;
+    partner_source = -1;
+    partner_done = false;
+    conflicts = 0;
+  }
+
+(* A k-leaf search needs [k] assigned slots, [k] levels and domains of
+   [k + 1] intervals (Domain's capacity rule). *)
+let ensure_capacity ctx k =
+  if Array.length ctx.assigned < k then begin
+    ctx.assigned <- Array.make k Event.none;
+    ctx.levels <- Array.init k (fun _ -> new_level ~capacity:(k + 1))
+  end
+
+let fresh_ctx (net : Compile.inet) ~history ~n_traces ~trace_of_sym ~partner_of ~stats =
   let ctx =
     {
       inet = net;
@@ -510,117 +515,193 @@ let make_ctx ?plan ~(net : Compile.inet) ~history ~n_traces ~trace_of_sym ~partn
       n_traces;
       trace_of_sym;
       partner_of;
-      k;
-      order = p.plan_order;
-      level_of = p.plan_level_of;
-      assigned = Array.make k Event.none;
-      partner_links = p.plan_partner_links;
-      pin;
-      all_traces = Array.init n_traces Fun.id;
+      k = Compile.size net.Compile.net;
+      order = [||];
+      level_of = [||];
+      assigned = [||];
+      partner_links = [||];
+      pin_leaf = -1;
+      pin_trace = -1;
       stats;
-      node_budget;
-      start_nodes = stats.nodes;
+      node_budget = max_int;
+      start_nodes = 0;
+      levels = [||];
+      busy = false;
     }
   in
-  ctx.assigned.(anchor_leaf) <- anchor;
+  ensure_capacity ctx ctx.k;
   ctx
 
-(* The main loop: [forward] fills level [i]; a wiped-out level jumps to the
-   deepest conflicting level (goBackward with the recorded information of
-   Fig. 5). *)
+(* One search context per domain, refilled by every search that finds it
+   idle. A search started while the domain's context is busy — from a
+   callback of a running search, or from another thread of the same
+   domain — gets a private one instead, so the reuse is invisible. *)
+let scratch : ctx option ref Stdlib.Domain.DLS.key =
+  Stdlib.Domain.DLS.new_key (fun () -> ref None)
+
+(* What an idle context points at instead of the last search's history
+   and POET callbacks: an engine that is dropped must not stay reachable
+   (with its arena and clock pool) from a domain's scratch. *)
+let no_history = History.view (History.create_store ~n_traces:0 ~pruning:false ()) ~classes:[||]
+
+let no_trace_of_sym _ = None
+
+let no_partner_of _ = None
+
+let release ctx =
+  ctx.busy <- false;
+  ctx.history <- no_history;
+  ctx.trace_of_sym <- no_trace_of_sym;
+  ctx.partner_of <- no_partner_of
+
+let acquire (net : Compile.inet) ~history ~n_traces ~trace_of_sym ~partner_of ~stats =
+  let cell = Stdlib.Domain.DLS.get scratch in
+  match !cell with
+  | Some ctx when not ctx.busy ->
+    (* claimed before anything that could switch threads *)
+    ctx.busy <- true;
+    (* consecutive searches mostly come from one pattern: skip the
+       pointer stores (each a write-barrier call) that would change
+       nothing *)
+    if ctx.inet != net then begin
+      ctx.inet <- net;
+      ctx.net <- net.Compile.net;
+      ctx.k <- Compile.size net.Compile.net;
+      ensure_capacity ctx ctx.k
+    end;
+    if ctx.stats != stats then ctx.stats <- stats;
+    ctx.history <- history;
+    ctx.n_traces <- n_traces;
+    ctx.trace_of_sym <- trace_of_sym;
+    ctx.partner_of <- partner_of;
+    ctx
+  | Some _ -> fresh_ctx net ~history ~n_traces ~trace_of_sym ~partner_of ~stats
+  | None ->
+    let ctx = fresh_ctx net ~history ~n_traces ~trace_of_sym ~partner_of ~stats in
+    ctx.busy <- true;
+    cell := Some ctx;
+    ctx
+
+(* Validate the anchor and plan, then reset [ctx] for a search anchored
+   at [anchor]: only the anchor is assigned. *)
+let start ctx ?plan ~anchor_leaf ~anchor ~pin_leaf ~pin_trace ~node_budget () =
+  let net = ctx.inet in
+  if not (Compile.leaf_matches_i net anchor_leaf anchor) then
+    invalid_arg "Matcher: anchor event does not match the anchor leaf";
+  if pin_leaf = anchor_leaf && pin_trace <> (anchor : Event.t).trace then
+    invalid_arg "Matcher: pin names the anchor leaf on a different trace";
+  let p =
+    match plan with
+    | Some p ->
+      if p.plan_anchor <> anchor_leaf then
+        invalid_arg "Matcher: plan was built for a different anchor leaf";
+      p
+    | None -> plan_of ~net ~anchor_leaf
+  in
+  if ctx.order != p.plan_order then begin
+    ctx.order <- p.plan_order;
+    ctx.level_of <- p.plan_level_of;
+    ctx.partner_links <- p.plan_partner_links
+  end;
+  ctx.pin_leaf <- pin_leaf;
+  ctx.pin_trace <- pin_trace;
+  ctx.node_budget <- node_budget;
+  ctx.start_nodes <- ctx.stats.nodes;
+  Array.fill ctx.assigned 0 ctx.k Event.none;
+  ctx.assigned.(anchor_leaf) <- anchor
+
+(* The main loop: [descend] fills level [i]; a wiped-out level jumps to
+   the deepest conflicting level (goBackward with the recorded
+   information of Fig. 5). [deepest] is the furthest level reached. *)
+let rec descend ctx i deepest =
+  let st = ctx.levels.(i) in
+  let x = next_acceptable ctx st in
+  if x != Event.none then begin
+    ctx.assigned.(st.leaf) <- x;
+    if i = ctx.k - 1 then begin
+      if post_checks ctx ctx.assigned then Found (extract ctx)
+      else begin
+        (* keep searching at this level; a post-check failure may be
+           caused by any earlier choice *)
+        ctx.assigned.(st.leaf) <- Event.none;
+        st.conflicts <- st.conflicts lor ((1 lsl i) - 1);
+        descend ctx i deepest
+      end
+    end
+    else begin
+      init_level ctx (i + 1);
+      descend ctx (i + 1) (Int.max (i + 1) deepest)
+    end
+  end
+  else begin
+    (* goBackward: jump to the deepest conflicting level; a conflict set
+       that is empty or {0} means no earlier choice can help *)
+    let above0 = st.conflicts land lnot 1 in
+    if above0 = 0 then begin
+      note_miss ctx deepest;
+      Not_found
+    end
+    else begin
+      let j = top_bit above0 in
+      ctx.stats.backjumps <- ctx.stats.backjumps + 1;
+      let stj = ctx.levels.(j) in
+      stj.conflicts <- stj.conflicts lor (st.conflicts land lnot (1 lsl j));
+      for l = j to i do
+        ctx.assigned.(ctx.levels.(l).leaf) <- Event.none
+      done;
+      descend ctx j deepest
+    end
+  end
+
+let run ctx =
+  if ctx.k = 1 then if post_checks ctx ctx.assigned then Found (extract ctx) else Not_found
+  else begin
+    init_level ctx 1;
+    match descend ctx 1 1 with r -> r | exception Budget -> Aborted
+  end
+
 let search ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf ~anchor ?pin
     ?(node_budget = max_int) ?(stats = new_stats ()) () =
-  let ctx =
-    make_ctx ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf ~anchor ~pin
-      ~node_budget ~stats ()
-  in
-  stats.searches <- stats.searches + 1;
-  let k = ctx.k in
-  if k = 1 then
-    if post_checks ctx (extract ctx) then Found (extract ctx) else Not_found
-  else begin
-    let levels = Array.make k None in
-    levels.(1) <- Some (init_level ctx 1);
-    let result = ref None in
-    let i = ref 1 in
-    let deepest = ref 1 in
-    (try
-       while !result = None do
-         let st = match levels.(!i) with Some st -> st | None -> assert false in
-         match next_acceptable ctx st with
-         | Some x ->
-           ctx.assigned.(st.leaf) <- x;
-           if !i = k - 1 then begin
-             let m = extract ctx in
-             if post_checks ctx m then result := Some (Found m)
-             else begin
-               (* keep searching at this level; a post-check failure may be
-                  caused by any earlier choice *)
-               ctx.assigned.(st.leaf) <- Event.none;
-               st.conflicts <- st.conflicts lor ((1 lsl !i) - 1)
-             end
-           end
-           else begin
-             incr i;
-             if !i > !deepest then deepest := !i;
-             levels.(!i) <- Some (init_level ctx !i)
-           end
-         | None ->
-           (* goBackward: jump to the deepest conflicting level; a conflict
-              set that is empty or {0} means no earlier choice can help *)
-           let above0 = st.conflicts land lnot 1 in
-           if above0 = 0 then begin
-             result := Some Not_found;
-             note_miss ctx !deepest
-           end
-           else begin
-             let j = top_bit above0 in
-             ctx.stats.backjumps <- ctx.stats.backjumps + 1;
-             (match levels.(j) with
-             | Some stj -> stj.conflicts <- stj.conflicts lor (st.conflicts land lnot (1 lsl j))
-             | None -> assert false);
-             for l = j to !i do
-               (match levels.(l) with
-               | Some s -> ctx.assigned.(s.leaf) <- Event.none
-               | None -> ());
-               if l > j then levels.(l) <- None
-             done;
-             i := j
-           end
-       done
-     with Budget -> result := Some Aborted);
-    match !result with Some r -> r | None -> assert false
-  end
+  let pin_leaf, pin_trace = match pin with Some (l, t) -> (l, t) | None -> (-1, -1) in
+  let ctx = acquire net ~history ~n_traces ~trace_of_sym ~partner_of ~stats in
+  match
+    start ctx ?plan ~anchor_leaf ~anchor ~pin_leaf ~pin_trace ~node_budget ();
+    stats.searches <- stats.searches + 1;
+    run ctx
+  with
+  | r ->
+    release ctx;
+    r
+  | exception e ->
+    release ctx;
+    raise e
 
 let first_search_leaf ~net ~anchor_leaf =
   if Compile.size net.Compile.net <= 1 then None else Some (make_order net ~anchor_leaf).(1)
 
+(* Exhaustive enumeration owns its context: [yield] may start searches
+   of its own on this domain. *)
 let enumerate ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf ~anchor
     ?(limit = max_int) yield =
-  let stats = new_stats () in
-  let ctx =
-    make_ctx ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf ~anchor
-      ~pin:None ~node_budget:max_int ~stats ()
-  in
+  let ctx = fresh_ctx net ~history ~n_traces ~trace_of_sym ~partner_of ~stats:(new_stats ()) in
+  start ctx ?plan ~anchor_leaf ~anchor ~pin_leaf:(-1) ~pin_trace:(-1) ~node_budget:max_int ();
   let k = ctx.k in
   let found = ref 0 in
   if k = 1 then begin
-    if post_checks ctx (extract ctx) then yield (extract ctx)
+    if post_checks ctx ctx.assigned then yield (extract ctx)
   end
   else begin
-    let levels = Array.make k None in
-    levels.(1) <- Some (init_level ctx 1);
+    init_level ctx 1;
     let i = ref 1 in
     let stop = ref false in
     while not !stop do
-      let st = match levels.(!i) with Some st -> st | None -> assert false in
-      match next_acceptable ctx st with
-      | Some x ->
+      let st = ctx.levels.(!i) in
+      let x = next_acceptable ctx st in
+      if x != Event.none then begin
         ctx.assigned.(st.leaf) <- x;
         if !i = k - 1 then begin
-          let m = extract ctx in
-          if post_checks ctx m then begin
-            yield m;
+          if post_checks ctx ctx.assigned then begin
+            yield (extract ctx);
             incr found;
             if !found >= limit then stop := true
           end;
@@ -628,16 +709,16 @@ let enumerate ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_le
         end
         else begin
           incr i;
-          levels.(!i) <- Some (init_level ctx !i)
+          init_level ctx !i
         end
-      | None ->
+      end
+      else if
         (* chronological backtracking for exhaustive enumeration *)
-        if !i = 1 then stop := true
-        else begin
-          levels.(!i) <- None;
-          decr i;
-          let prev = match levels.(!i) with Some s -> s | None -> assert false in
-          ctx.assigned.(prev.leaf) <- Event.none
-        end
+        !i = 1
+      then stop := true
+      else begin
+        decr i;
+        ctx.assigned.(ctx.levels.(!i).leaf) <- Event.none
+      end
     done
   end

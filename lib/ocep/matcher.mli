@@ -78,7 +78,14 @@ val search :
     for the same [net] and [anchor_leaf] (checked for the anchor leaf);
     omitted, it is derived on the spot. Raises [Invalid_argument] if the
     anchor event does not class-match the anchor leaf, if [pin] names the
-    anchor leaf with a different trace, or on a plan/anchor mismatch. *)
+    anchor leaf with a different trace, or on a plan/anchor mismatch.
+
+    A search works in a context reused by every search on the calling
+    domain, so with a [plan] it allocates only the boxes of its optional
+    arguments and, on [Found], the match (plus whatever [trace_of_sym]
+    and [partner_of] allocate). Nested calls are safe: a
+    search started while another runs on the same domain (from one of
+    its callbacks, or from another thread) gets a private context. *)
 
 val first_search_leaf : net:Compile.inet -> anchor_leaf:int -> int option
 (** The leaf instantiated at the first backtracking level for this anchor
@@ -99,4 +106,5 @@ val enumerate :
   unit
 (** All matches anchored at the event, by exhaustive chronological
     backtracking over the same pruned domains (used by tests, the oracle
-    comparisons, and the Fig. 3 demonstration). *)
+    comparisons, and the Fig. 3 demonstration). Uses a context of its
+    own, so the callback may run searches. *)

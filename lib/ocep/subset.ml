@@ -9,7 +9,9 @@ type t = {
   seenm : bool array array;
   report_cap : int;
   reports : report Vec.t;
-  mutable pending : (int * int) list;  (* seen but not covered; lazily filtered *)
+  pending : int Vec.t;
+      (* seen but not covered, packed as leaf * n_traces + trace, oldest
+         first; covered slots are dropped lazily by [pending_slots] *)
   mutable covered_count : int;
   mutable seen_count : int;
   mutable dropped : int;  (* coverage-advancing reports not retained (cap) *)
@@ -23,7 +25,7 @@ let create ~k ~n_traces ?(report_cap = max_int) () =
     seenm = Array.make_matrix k n_traces false;
     report_cap;
     reports = Vec.create ();
-    pending = [];
+    pending = Vec.create ();
     covered_count = 0;
     seen_count = 0;
     dropped = 0;
@@ -33,7 +35,7 @@ let seen t ~leaf ~trace =
   if not t.seenm.(leaf).(trace) then begin
     t.seenm.(leaf).(trace) <- true;
     t.seen_count <- t.seen_count + 1;
-    if not t.covered.(leaf).(trace) then t.pending <- (leaf, trace) :: t.pending
+    if not t.covered.(leaf).(trace) then Vec.push t.pending ((leaf * t.n_traces) + trace)
   end
 
 let is_covered t ~leaf ~trace = t.covered.(leaf).(trace)
@@ -60,11 +62,26 @@ let record t ~seq (m : Event.t array) =
     else t.dropped <- t.dropped + 1;
     Some report
 
-(* Filter out slots covered since they were queued; amortized cheap. *)
-let uncovered_seen_slots t =
-  let still = List.filter (fun (l, tr) -> not t.covered.(l).(tr)) t.pending in
-  t.pending <- still;
-  still
+let slot_leaf t slot = slot / t.n_traces
+
+let slot_trace t slot = slot mod t.n_traces
+
+(* Compact out the slots covered since they were queued, in place and
+   order-preserving; amortized cheap. *)
+let pending_slots t =
+  let v = t.pending in
+  let kept = ref 0 in
+  for i = 0 to Vec.length v - 1 do
+    let slot = Vec.get v i in
+    if not t.covered.(slot_leaf t slot).(slot_trace t slot) then begin
+      Vec.set v !kept slot;
+      incr kept
+    end
+  done;
+  Vec.truncate v !kept;
+  !kept
+
+let pending_slot t i = Vec.get t.pending (Vec.length t.pending - 1 - i)
 
 let reports t = Vec.to_list t.reports
 

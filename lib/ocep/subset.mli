@@ -42,9 +42,19 @@ val record : t -> seq:int -> Event.t array -> report option
     [report_cap] retained reports already exist, in which case it is
     dropped and counted (see {!create} for the cap semantics). *)
 
-val uncovered_seen_slots : t -> (int * int) list
-(** Slots that have candidate events but no covering match yet; the engine
-    re-searches these on every terminating event. *)
+val pending_slots : t -> int
+(** The number of slots that have candidate events but no covering match
+    yet — the engine re-searches these on every terminating event. Drops
+    slots covered since they were queued, in place; read the rest with
+    {!pending_slot}. *)
+
+val pending_slot : t -> int -> int
+(** [pending_slot t i], for [i] below the last {!pending_slots} count:
+    the [i]-th pending slot, most recently seen first, packed as one int
+    (decode with {!slot_leaf} and {!slot_trace}). *)
+
+val slot_leaf : t -> int -> int
+val slot_trace : t -> int -> int
 
 val reports : t -> report list
 (** Reported matches, oldest first (capped at [report_cap]). *)

@@ -26,7 +26,9 @@ type t = {
   names : string array;
   symbols : Symbol.t;  (* interning table for trace names, etypes, texts *)
   name_syms : int array;  (* trace -> symbol of its name *)
-  trace_by_sym : int array;  (* name symbol -> first trace with that name *)
+  trace_by_sym : int option array;
+      (* name symbol -> first trace with that name; the options are built
+         once here so the matcher's per-level lookup allocates nothing *)
   retain : bool;
   partner_index : bool;
   arena : Arena.t;  (* one row per ingested event *)
@@ -78,6 +80,7 @@ let create ?(retain = false) ?(partner_index = true) ~trace_names () =
   let name_syms = Array.map (Symbol.intern symbols) trace_names in
   let trace_by_sym = Array.make (Symbol.size symbols) (-1) in
   Array.iteri (fun tr sym -> if trace_by_sym.(sym) < 0 then trace_by_sym.(sym) <- tr) name_syms;
+  let trace_by_sym = Array.map (fun tr -> if tr < 0 then None else Some tr) trace_by_sym in
   {
     names = Array.copy trace_names;
     symbols;
@@ -132,10 +135,7 @@ let vc_pool t = t.vcs
 let clock_entry t ~trace ~entry = Vc_pool.get t.vcs ~trace ~entry
 
 let trace_of_sym t sym =
-  if sym < 0 || sym >= Array.length t.trace_by_sym then None
-  else
-    let tr = t.trace_by_sym.(sym) in
-    if tr < 0 then None else Some tr
+  if sym < 0 || sym >= Array.length t.trace_by_sym then None else t.trace_by_sym.(sym)
 
 let subscribe t f =
   t.subscribers_rev <- f :: t.subscribers_rev;

@@ -112,7 +112,7 @@ let make_tenant cfg ~name ~traces ~quota ~policy ~wr =
       ~n_traces:(Array.length traces)
       ~emit:(fun ~verdict ~decode_us:_ ~admit_us:_ w ->
         Atomic.incr admitted;
-        ignore (Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w)))
+        Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w))
       ()
   in
   {

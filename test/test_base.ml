@@ -85,7 +85,7 @@ let vec_binary_search () =
   check_int "first > 7" 4 (Vec.binary_search_first v (fun x -> x > 7))
 
 let vec_binary_search_prop =
-  QCheck.Test.make ~name:"binary_search_first agrees with linear scan" ~count:500
+  QCheck.Test.make ~name:"binary_search_first agrees with linear" ~count:500
     QCheck.(pair (small_list small_int) small_int)
     (fun (l, threshold) ->
       let l = List.sort compare l in
@@ -98,73 +98,6 @@ let vec_binary_search_prop =
         loop 0 l
       in
       Vec.binary_search_first v (fun x -> x >= threshold) = expected)
-
-(* ------------------------------------------------------------------ *)
-(* Interval                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let interval_basics () =
-  let i = Interval.make 2 5 in
-  check "mem 2" true (Interval.mem 2 i);
-  check "mem 5" true (Interval.mem 5 i);
-  check "not mem 6" false (Interval.mem 6 i);
-  check "empty" true (Interval.is_empty (Interval.make 3 2));
-  check_int "length" 4 (Interval.length i);
-  let j = Interval.inter i (Interval.make 4 9) in
-  check "inter" true (j.Interval.lo = 4 && j.Interval.hi = 5)
-
-let iset_of_list l = Interval.Set.of_intervals (List.map (fun (a, b) -> Interval.make a b) l)
-
-let iset_basics () =
-  let s = iset_of_list [ (1, 3); (7, 9) ] in
-  check "mem 2" true (Interval.Set.mem 2 s);
-  check "not mem 5" false (Interval.Set.mem 5 s);
-  check_int "cardinal" 6 (Interval.Set.cardinal s);
-  check "max" true (Interval.Set.max_elt s = Some 9);
-  check "min" true (Interval.Set.min_elt s = Some 1);
-  check "next_below 6" true (Interval.Set.next_below s 6 = Some 3);
-  check "next_below 8" true (Interval.Set.next_below s 8 = Some 8);
-  check "next_below 0" true (Interval.Set.next_below s 0 = None);
-  (* adjacent intervals merge *)
-  let m = iset_of_list [ (1, 3); (4, 6) ] in
-  check_int "merged" 1 (List.length (Interval.Set.to_list m))
-
-let iset_prop_gen =
-  QCheck.Gen.(
-    list_size (int_bound 4)
-      (map2 (fun a len -> (a, a + len)) (int_bound 30) (int_bound 6)))
-
-let iset_arb = QCheck.make ~print:(fun l -> QCheck.Print.(list (pair int int)) l) iset_prop_gen
-
-let iset_inter_prop =
-  QCheck.Test.make ~name:"Set.inter is pointwise conjunction" ~count:500
-    (QCheck.pair iset_arb iset_arb)
-    (fun (la, lb) ->
-      let a = iset_of_list la and b = iset_of_list lb in
-      let i = Interval.Set.inter a b in
-      List.for_all
-        (fun x -> Interval.Set.mem x i = (Interval.Set.mem x a && Interval.Set.mem x b))
-        (List.init 40 (fun i -> i)))
-
-let iset_union_prop =
-  QCheck.Test.make ~name:"Set.union is pointwise disjunction" ~count:500
-    (QCheck.pair iset_arb iset_arb)
-    (fun (la, lb) ->
-      let a = iset_of_list la and b = iset_of_list lb in
-      let u = Interval.Set.union a b in
-      List.for_all
-        (fun x -> Interval.Set.mem x u = (Interval.Set.mem x a || Interval.Set.mem x b))
-        (List.init 40 (fun i -> i)))
-
-let iset_normal_form_prop =
-  QCheck.Test.make ~name:"Set intervals are disjoint, sorted, non-adjacent" ~count:500 iset_arb
-    (fun l ->
-      let s = iset_of_list l in
-      let rec ok = function
-        | a :: (b :: _ as rest) -> a.Interval.hi + 1 < b.Interval.lo && ok rest
-        | _ -> true
-      in
-      ok (Interval.Set.to_list s))
 
 (* ------------------------------------------------------------------ *)
 (* Vclock                                                              *)
@@ -219,13 +152,6 @@ let prng_copy_independent () =
   let b = Prng.copy a in
   let va = Prng.bits64 a and vb = Prng.bits64 b in
   check "copies continue identically" true (va = vb)
-
-let interval_full_and_empty_set () =
-  check "empty set" true (Interval.Set.is_empty Interval.Set.empty);
-  check "full set has max" true (Interval.Set.max_elt (Interval.Set.full ~max:5) = Some 5);
-  check_int "cardinal of full" 6 (Interval.Set.cardinal (Interval.Set.full ~max:5));
-  check "empty interval ignored" true
-    (Interval.Set.is_empty (Interval.Set.of_interval (Interval.make 5 2)))
 
 (* ------------------------------------------------------------------ *)
 (* Symbol                                                              *)
@@ -285,14 +211,6 @@ let () =
           Alcotest.test_case "binary search" `Quick vec_binary_search;
           QCheck_alcotest.to_alcotest vec_binary_search_prop;
         ] );
-      ( "interval",
-        [
-          Alcotest.test_case "interval basics" `Quick interval_basics;
-          Alcotest.test_case "set basics" `Quick iset_basics;
-          QCheck_alcotest.to_alcotest iset_inter_prop;
-          QCheck_alcotest.to_alcotest iset_union_prop;
-          QCheck_alcotest.to_alcotest iset_normal_form_prop;
-        ] );
       ( "vclock",
         [
           Alcotest.test_case "basics" `Quick vclock_basics;
@@ -310,6 +228,5 @@ let () =
         [
           Alcotest.test_case "prng errors" `Quick prng_errors;
           Alcotest.test_case "prng copy" `Quick prng_copy_independent;
-          Alcotest.test_case "interval sets" `Quick interval_full_and_empty_set;
         ] );
     ]

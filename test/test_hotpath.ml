@@ -1,9 +1,11 @@
-(* The hot-path overhaul's two behavioral guarantees: (1) the interned
+(* The hot-path overhaul's behavioral guarantees: (1) the interned
    integer-only fast path classifies and matches exactly like the
    string-keyed pattern semantics, on all four case-study workloads;
    (2) the pinned-search pre-filter skips real searches without changing
    any observable (coverage, reports, match counts), and its skip count
-   is exported as ocep_pinned_skipped_total. *)
+   is exported as ocep_pinned_skipped_total; (3) the per-event path
+   stays within its allocation budgets — a failed search, a frame
+   decode, and a fed event on every workload. *)
 
 open Ocep_base
 module Sim = Ocep_sim.Sim
@@ -12,6 +14,10 @@ module Parser = Ocep_pattern.Parser
 module Compile = Ocep_pattern.Compile
 module Engine = Ocep.Engine
 module Subset = Ocep.Subset
+module Matcher = Ocep.Matcher
+module History = Ocep.History
+module Framing = Ocep_ingest.Framing
+module Wire = Ocep_ingest.Wire
 module Oracle = Ocep_baselines.Oracle
 module Workload = Ocep_workloads.Workload
 module Cases = Ocep_harness.Cases
@@ -228,6 +234,110 @@ let arena_equals_record_all_workloads () =
         [ (false, 1); (true, 4); (false, 4) ])
     Cases.all_names
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words allocated by [n] runs of [f], per run: an exact,
+   deterministic count for the running domain (every block these paths
+   allocate is small enough for the minor heap). *)
+let words_per_run n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Eight traces: each does some As, then trace 0 receives a message from
+   every other one and does the anchor B. Every A happens before B, so
+   [A || B] anchored at B fails after restricting a domain on each of
+   the eight traces. *)
+let failed_search_allocates_nothing () =
+  let names = Array.init 8 (fun i -> "P" ^ string_of_int i) in
+  let b = Testutil.Build.create names in
+  for tr = 0 to 7 do
+    for _ = 1 to 20 do
+      ignore (Testutil.Build.internal b tr ~text:"x" "A")
+    done
+  done;
+  for src = 1 to 7 do
+    let m, _ = Testutil.Build.send b ~src () in
+    ignore (Testutil.Build.recv b ~dst:0 m)
+  done;
+  let anchor = Testutil.Build.internal b 0 "B" in
+  let net = net_of "A := [_, A, $t]; B := [_, B, _]; pattern := A || B;" in
+  let poet = Testutil.Build.poet b in
+  let history = History.create net ~n_traces:8 ~pruning:false () in
+  List.iter
+    (fun ev ->
+      History.note_comm history ev;
+      for l = 0 to Compile.size net - 1 do
+        if Compile.leaf_matches net l ev then History.add history ~leaf:l ev
+      done)
+    (Testutil.Build.events b);
+  let net = Compile.intern_net net ~intern:(Symbol.intern (Poet.symbols poet)) in
+  let plan = Matcher.plan ~net ~anchor_leaf:1 in
+  let stats = Matcher.new_stats () in
+  let trace_of_sym = Poet.trace_of_sym poet and partner_of = Poet.find_partner poet in
+  let search () =
+    match
+      Matcher.search ~plan ~net ~history ~n_traces:8 ~trace_of_sym ~partner_of ~anchor_leaf:1
+        ~anchor ~stats ()
+    with
+    | Matcher.Not_found -> ()
+    | _ -> Alcotest.fail "expected Not_found"
+  in
+  search ();
+  let words = words_per_run 100 search in
+  check_int "one search per call" 101 stats.Matcher.searches;
+  if words > 8. then Alcotest.failf "a failed search allocates %.1f words (budget 8)" words
+
+(* A stream of identical short send frames: decoding one allocates the
+   event record, its two strings, its kind and the [Frame] box. *)
+let frame_decode_allocates_only_the_event () =
+  let path = Filename.temp_file "ocep_alloc" ".wire" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  let w = Framing.create_writer oc ~trace_names:[| "P0"; "P1" |] in
+  for id = 0 to 199 do
+    Framing.write w
+      { Wire.id; trace = 0; seq = id + 1; etype = "Send"; text = "x"; kind = Event.Send { msg = id } }
+  done;
+  Framing.flush w;
+  close_out oc;
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let r = Framing.create_reader ic in
+  let next () =
+    match Framing.next r with Framing.Frame _ -> () | _ -> Alcotest.fail "expected a frame"
+  in
+  next ();
+  let words = words_per_run 150 next in
+  if words > 20. then Alcotest.failf "Framing.next allocates %.1f words per frame (budget 20)" words
+
+(* The engine's whole per-event path, fed in blocks as a service shard's
+   engine is configured: only history entries, boxed views of
+   class-matched events and reports may remain. *)
+let feed_block_within_budget () =
+  List.iter
+    (fun case ->
+      let w = Cases.make case ~traces:8 ~seed:7 ~max_events:20_000 in
+      let names = Sim.trace_names w.Workload.sim_config in
+      let raws = ref [] in
+      ignore
+        (Sim.run w.Workload.sim_config
+           ~sink:(fun r -> raws := r :: !raws)
+           ~bodies:w.Workload.bodies);
+      let raws = Array.of_list (List.rev !raws) in
+      let poet = Poet.create ~trace_names:names () in
+      let config = { Engine.default_config with Engine.latency_sink = Engine.Histogram } in
+      let engine = Engine.create ~config ~net:(net_of w.Workload.pattern) ~poet () in
+      let words = words_per_run 1 (fun () -> Engine.feed_block engine raws) in
+      let bytes = words *. float_of_int (Sys.word_size / 8) /. float_of_int (Array.length raws) in
+      if bytes > 300. then
+        Alcotest.failf "%s: feed_block allocates %.0f B/event (budget 300)" case bytes)
+    Cases.all_names
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -243,5 +353,13 @@ let () =
           QCheck_alcotest.to_alcotest filtering_changes_no_observable;
           Alcotest.test_case "skip fires and is sound" `Quick skip_fires_and_is_sound;
           Alcotest.test_case "skip metric exposed" `Quick skip_metric_exposed;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "failed search allocates <= 8 words" `Quick
+            failed_search_allocates_nothing;
+          Alcotest.test_case "frame decode allocates <= 20 words" `Quick
+            frame_decode_allocates_only_the_event;
+          Alcotest.test_case "feed_block <= 300 B/event, 8 cases" `Quick feed_block_within_budget;
         ] );
     ]

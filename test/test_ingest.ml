@@ -32,10 +32,10 @@ let checks = Alcotest.(check string)
 
 (* the standard check value: CRC-32/ISO-HDLC of "123456789" *)
 let crc_check_value () =
-  check "check value" true (Crc32.string "123456789" = 0xCBF43926l);
-  check "empty" true (Crc32.string "" = 0l);
+  check "check value" true (Crc32.string "123456789" = 0xCBF43926);
+  check "empty" true (Crc32.string "" = 0);
   let b = Bytes.of_string "xx123456789yy" in
-  check "slice" true (Crc32.bytes b ~pos:2 ~len:9 = 0xCBF43926l)
+  check "slice" true (Crc32.bytes b ~pos:2 ~len:9 = 0xCBF43926)
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec                                                          *)
@@ -208,6 +208,32 @@ let truncation_recovers_prefix () =
   let frames, damage = read_all tmp in
   check "uncut: all frames" true (frames = events);
   check "uncut: no damage" true (damage = [])
+
+(* A data frame whose length prefix no real frame could have — all ones
+   (negative when read as the signed 32-bit field it is) or one past
+   [max_frame] — ends the stream as [Truncated] after the good frames:
+   no exception, and nothing allocated anywhere near the claimed length. *)
+let hostile_length_prefix () =
+  let events = mk_events 3 in
+  let le32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)) in
+  List.iter
+    (fun len_field ->
+      with_temp @@ fun tmp ->
+      write_stream tmp events;
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 tmp in
+      output_string oc (le32 len_field);
+      output_string oc (le32 0);
+      output_string oc (String.make 64 'x');
+      close_out oc;
+      let before = Gc.allocated_bytes () in
+      let frames, damage = read_all tmp in
+      let allocated = Gc.allocated_bytes () -. before in
+      let what = Printf.sprintf "length field 0x%x" len_field in
+      check (what ^ ": good frames delivered") true (frames = events);
+      check (what ^ ": reported as truncation") true (damage = [ `Trunc ]);
+      check (what ^ ": no payload-sized allocation") true
+        (allocated < float_of_int Framing.max_frame /. 4.))
+    [ 0xFFFFFFFF; Framing.max_frame + 1 ]
 
 let flip path off =
   let data = Bytes.of_string (file_contents path) in
@@ -570,7 +596,7 @@ let replay_frames ~config ~net ~trace_names frames =
       ~n_traces:(Array.length trace_names)
       ~emit:(fun ~verdict ~decode_us ~admit_us w ->
         Engine.set_wire_stamps engine ~decode_us ~admit_us;
-        ignore (Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w)))
+        Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w))
       ()
   in
   List.iter (Admission.push adm) frames;
@@ -710,6 +736,7 @@ let () =
           Alcotest.test_case "truncation at every offset" `Quick truncation_recovers_prefix;
           Alcotest.test_case "crc flip skips one frame" `Quick corrupted_crc_skips_one_frame;
           Alcotest.test_case "corrupt header rejected" `Quick corrupted_header_rejected;
+          Alcotest.test_case "hostile length prefix truncates" `Quick hostile_length_prefix;
         ] );
       ( "admission",
         [

@@ -379,9 +379,58 @@ let single_leaf_pattern () =
   | Matcher.Found m -> check "self match" true (Event.equal m.(0) good)
   | _ -> Alcotest.fail "single-leaf pattern should match its anchor"
 
+(* Searches reuse one context per domain. A search started while another
+   runs on the same domain (here from the outer search's trace-lookup
+   callback), a search after one that raised, and searches from
+   [enumerate]'s [yield] must all behave as if nothing were shared. *)
+let scratch_reuse_is_invisible () =
+  let net = net_of "A := ['P1', A, _]; B := [_, B, _]; pattern := A -> B;" in
+  let b = Build.create [| "P0"; "P1" |] in
+  let a = Build.internal b 1 "A" in
+  let m, _ = Build.send b ~src:1 () in
+  let _ = Build.recv b ~dst:0 m in
+  let bb = Build.internal b 0 "B" in
+  let poet = Build.poet b in
+  let history = history_of net ~n_traces:2 (Build.events b) in
+  let inet = inet_of poet net in
+  let partner_of = Poet.find_partner poet in
+  let run ?(trace_of_sym = Poet.trace_of_sym poet) ~anchor_leaf anchor =
+    Matcher.search ~net:inet ~history ~n_traces:2 ~trace_of_sym ~partner_of ~anchor_leaf ~anchor ()
+  in
+  let slots m = Array.to_list (Array.map (fun (e : Event.t) -> (e.trace, e.index)) m) in
+  let found = function Matcher.Found m -> Some (slots m) | _ -> None in
+  let expected = found (run ~anchor_leaf:1 bb) in
+  check "plain search" true (expected = Some (slots [| a; bb |]));
+  let inner = ref None in
+  let nested sym =
+    inner := found (run ~anchor_leaf:1 bb);
+    Poet.trace_of_sym poet sym
+  in
+  check "outer search unaffected" true (found (run ~trace_of_sym:nested ~anchor_leaf:1 bb) = expected);
+  check "nested search" true (!inner = expected);
+  (match run ~anchor_leaf:0 bb with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a B anchor must be rejected on leaf A");
+  check "search after a raise" true (found (run ~anchor_leaf:1 bb) = expected);
+  let yielded = ref [] in
+  Matcher.enumerate ~net:inet ~history ~n_traces:2 ~trace_of_sym:(Poet.trace_of_sym poet)
+    ~partner_of ~anchor_leaf:1 ~anchor:bb (fun m ->
+      yielded := (Some (slots m), found (run ~anchor_leaf:1 bb)) :: !yielded);
+  check "enumerate with a searching yield" true (!yielded = [ (expected, expected) ])
+
 (* ------------------------------------------------------------------ *)
 (* Domain restriction (Fig. 4)                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The positions of [hist] left after restricting the full domain by
+   each (w, allowed) pair in turn. *)
+let restricted hist ~trace rs =
+  let d = Domain.create ~capacity:(List.length rs + 1) in
+  Domain.set_full d hist;
+  List.iter (fun (w, a) -> Domain.restrict d hist ~trace ~w a) rs;
+  Domain.elements d
+
+let allowed before after concurrent = { Compile.before; after; concurrent }
 
 let domain_cases () =
   let net = net_of "A := [_, A, _]; B := [_, B, _]; pattern := A -> B;" in
@@ -396,16 +445,17 @@ let domain_cases () =
   let h = history_of net ~n_traces:2 (Build.events b) in
   let hist = History.on h ~leaf:0 ~trace:0 in
   check_int "three As stored" 3 (Vec.length hist);
+  let dom a = restricted hist ~trace:0 [ (w, a) ] in
   (* before w: a1, a2 (positions 0,1); a3 is concurrent with w *)
-  let dom_before = Domain.restrict hist ~trace:0 ~w { Compile.before = true; after = false; concurrent = false } in
-  check "before = {0,1}" true (Interval.Set.elements dom_before = [ 0; 1 ]);
-  let dom_conc = Domain.restrict hist ~trace:0 ~w { Compile.before = false; after = false; concurrent = true } in
-  check "concurrent = {2}" true (Interval.Set.elements dom_conc = [ 2 ]);
-  let dom_after = Domain.restrict hist ~trace:0 ~w { Compile.before = false; after = true; concurrent = false } in
-  check "after = {}" true (Interval.Set.is_empty dom_after);
+  check "before = {0,1}" true (dom (allowed true false false) = [ 0; 1 ]);
+  check "concurrent = {2}" true (dom (allowed false false true) = [ 2 ]);
+  check "after = {}" true (dom (allowed false true false) = []);
   (* all three allowed = everything *)
-  let dom_all = Domain.restrict hist ~trace:0 ~w { Compile.before = true; after = true; concurrent = true } in
-  check "all = {0,1,2}" true (Interval.Set.elements dom_all = [ 0; 1; 2 ])
+  check "all = {0,1,2}" true (dom (allowed true true true) = [ 0; 1; 2 ]);
+  (* two restrictions intersect: before w and after a1 leaves a2 *)
+  check "before w, after a1" true
+    (restricted hist ~trace:0 [ (w, allowed true false false); (_a1, allowed false true false) ]
+    = [ 1 ])
 
 let domain_same_trace_excludes_self () =
   let net = net_of "A := [_, A, _]; pattern := A;" in
@@ -415,10 +465,70 @@ let domain_same_trace_excludes_self () =
   let _ = Build.internal b 0 "A" in
   let h = history_of net ~n_traces:1 (Build.events b) in
   let hist = History.on h ~leaf:0 ~trace:0 in
-  let dom =
-    Domain.restrict hist ~trace:0 ~w:a2 { Compile.before = true; after = true; concurrent = true }
+  let d = Domain.create ~capacity:2 in
+  Domain.set_full d hist;
+  Domain.restrict d hist ~trace:0 ~w:a2 (allowed true true true);
+  check "self excluded" true (Domain.elements d = [ 0; 2 ]);
+  check "two intervals" true (Domain.intervals d = [ (0, 0); (2, 2) ]);
+  check "max" true (Domain.max_elt d = 2);
+  check "next_below 1" true (Domain.next_below d 1 = 0);
+  check "next_below -1" true (Domain.next_below d (-1) = -1);
+  check "mem" true (Domain.mem d 2 && not (Domain.mem d 1))
+
+(* A random history of one trace (a random subsequence of its events,
+   as a class history is) and a random chain of restrictions by random
+   events under random allowed-relation sets. *)
+let domain_case prng =
+  let n_traces = 2 + Prng.int prng 3 in
+  let raws = Testutil.Gen.computation ~n_traces ~length:(5 + Prng.int prng 40) prng in
+  let names = Array.init n_traces (fun i -> "P" ^ string_of_int i) in
+  let _, events = Testutil.ingest_all names raws in
+  let trace = Prng.int prng n_traces in
+  let hist = Vec.create () in
+  List.iter
+    (fun (ev : Event.t) ->
+      if ev.trace = trace && Prng.int prng 3 > 0 then Vec.push hist { History.ev; epoch = 0 })
+    events;
+  let evs = Array.of_list events in
+  let rs =
+    List.init (Prng.int prng 6) (fun _ ->
+        let w = evs.(Prng.int prng (Array.length evs)) in
+        (w, allowed (Prng.bool prng) (Prng.bool prng) (Prng.bool prng)))
   in
-  check "self excluded" true (Interval.Set.elements dom = [ 0; 2 ])
+  (hist, trace, rs)
+
+let domain_equals_brute_force =
+  QCheck.Test.make ~name:"domain = relation filter of positions" ~count:500
+    QCheck.small_int (fun seed ->
+      let hist, trace, rs = domain_case (Prng.create (seed + 7)) in
+      let brute =
+        List.filter
+          (fun p ->
+            let x = (Vec.get hist p).History.ev in
+            List.for_all (fun (w, a) -> Compile.allowed_of_relation (Event.relation x w) a) rs)
+          (List.init (Vec.length hist) Fun.id)
+      in
+      let got = restricted hist ~trace rs in
+      if got <> brute then
+        QCheck.Test.fail_reportf "domain {%s} <> brute force {%s}"
+          (String.concat ";" (List.map string_of_int got))
+          (String.concat ";" (List.map string_of_int brute))
+      else true)
+
+let domain_normal_form =
+  QCheck.Test.make ~name:"domain intervals disjoint and sorted" ~count:500
+    QCheck.small_int (fun seed ->
+      let hist, trace, rs = domain_case (Prng.create (seed + 11)) in
+      let d = Domain.create ~capacity:(List.length rs + 1) in
+      Domain.set_full d hist;
+      List.iter (fun (w, a) -> Domain.restrict d hist ~trace ~w a) rs;
+      let rec ok = function
+        | (lo, hi) :: ((lo', _) :: _ as rest) -> lo <= hi && hi + 1 < lo' && ok rest
+        | [ (lo, hi) ] -> lo <= hi
+        | [] -> true
+      in
+      let ivs = Domain.intervals d in
+      ok ivs && List.length ivs <= List.length rs + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Properties against the oracle                                        *)
@@ -609,11 +719,14 @@ let () =
           Alcotest.test_case "partner with pin" `Quick partner_with_pin;
           Alcotest.test_case "three-way variable chain" `Quick three_way_variable_chain;
           Alcotest.test_case "single-leaf pattern" `Quick single_leaf_pattern;
+          Alcotest.test_case "scratch reuse is invisible" `Quick scratch_reuse_is_invisible;
         ] );
       ( "domains",
         [
           Alcotest.test_case "Fig 4 cases" `Quick domain_cases;
           Alcotest.test_case "self excluded" `Quick domain_same_trace_excludes_self;
+          QCheck_alcotest.to_alcotest domain_equals_brute_force;
+          QCheck_alcotest.to_alcotest domain_normal_form;
         ] );
       ( "oracle",
         [

@@ -202,7 +202,7 @@ let oracle_midstream ~traces ~frames ~net ~k1 ~k2 ~k3 =
         }
       ~n_traces:(Array.length traces)
       ~emit:(fun ~verdict ~decode_us:_ ~admit_us:_ w ->
-        ignore (Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w)))
+        Engine.feed_wire engine ~id:w.Wire.id ~verdict (Wire.to_raw w))
       ()
   in
   let h1 = ref None in
