@@ -1,30 +1,20 @@
-(* Hot-path throughput and allocation rate on the four case studies,
-   with the arena ablation built in.
+(* Hot-path throughput and allocation rate on the four case studies.
 
    Each case's raw event stream is generated once and replayed through a
-   fresh POET + sequential engine (latency recording off: this program
-   measures amortized ingest throughput, not per-arrival latency) in two
-   modes:
+   fresh POET + engine (latency recording off: this program measures
+   amortized ingest throughput, not per-arrival latency), fed with
+   [Poet.ingest_flat]: events live as struct-of-arrays rows and are
+   boxed only on a class match.
 
-     arena   flat dispatch — [Poet.ingest_flat] feeding an engine with
-             [config.arena = true]; events live as struct-of-arrays rows
-             and are boxed only on a class match
-     record  the boxed path — [Poet.ingest] feeding a [config.arena =
-             false] engine, the pre-arena hot path
-
-   Methodology follows bench_obs: both modes warm up once, then R
-   interleaved cycles run with a deterministic per-cycle shuffle (any
-   position effect hits each mode equally often), each mode timed as the
-   best of two back-to-back replays per cycle, and the arena speedup is
-   the median across cycles of the within-cycle events/s ratio. Each
-   timed replay starts from a settled heap (Gc.full_major). Reported per
-   case and mode: events/s, us/event, bytes allocated per event
-   (Gc.allocated_bytes across the replay), minor words per event, major
-   collections, and matches found — which must agree between modes, or
-   the program aborts.
+   Methodology follows bench_obs: one warm-up replay, then R cycles,
+   each timed as the best of two back-to-back replays; the row reports
+   the fastest cycle. Each timed replay starts from a settled heap
+   (Gc.full_major). Reported per case: events/s, us/event, bytes
+   allocated per event (Gc.allocated_bytes across the replay), minor
+   words per event, major collections, and matches found.
 
    The before/after comparison works without any JSON parsing: build the
-   pre-PR commit in a scratch worktree with this file dropped in, run
+   pre-PR commit in a scratch checkout with this file dropped in, run
 
      bench_hotpath --raw-out baseline.tsv
 
@@ -33,16 +23,15 @@
      bench_hotpath --baseline baseline.tsv
 
    which replays the same streams and writes BENCH_hotpath.json with the
-   baseline columns and speedup ratios filled in (legacy 8-column
-   baselines read as record-mode rows). Without --baseline the JSON
-   carries the current numbers only.
+   baseline columns and speedup ratios filled in. Without --baseline the
+   JSON carries the current numbers only.
 
    Knobs: OCEP_EVENTS (default 50_000) scales the streams;
-   OCEP_HOTPATH_REPS (default 3) the interleaved cycles; OCEP_ARENA=0|1
-   pins a single mode; OCEP_CASES=a,b runs a subset of the cases;
-   OCEP_HOTPATH_MAX_ALLOC (bytes/event, float) turns the run into a CI
-   smoke that fails when the deadlock case's arena allocation rate
-   exceeds the budget. *)
+   OCEP_HOTPATH_REPS (default 3) the timed cycles; OCEP_CASES=a,b runs a
+   subset of the cases; OCEP_PINS=0 turns pinned searches off;
+   OCEP_ENGINE=0 times the bare POET ingest path; OCEP_HOTPATH_MAX_ALLOC
+   (bytes/event, float) turns the run into a CI smoke that fails when
+   the deadlock case's allocation rate exceeds the budget. *)
 
 module Sim = Ocep_sim.Sim
 module Poet = Ocep_poet.Poet
@@ -53,13 +42,10 @@ module Workload = Ocep_workloads.Workload
 module Cases = Ocep_harness.Cases
 module Clock = Ocep_base.Clock
 
-(* same trace counts as bench_parallel, so the two benchmarks describe
-   the same workloads *)
 let bench_traces = function "races" -> 8 | "ordering" -> 50 | _ -> 20
 
 type row = {
   case : string;
-  mode : string;  (* "arena" | "record" *)
   traces : int;
   events : int;
   wall_s : float;
@@ -71,15 +57,9 @@ type row = {
   matches : int;
 }
 
-let modes =
-  match Sys.getenv_opt "OCEP_ARENA" with
-  | Some "0" -> [ "record" ]
-  | Some _ -> [ "arena" ]
-  | None -> [ "arena"; "record" ]
-
 (* one timed replay: (wall_s, alloc/ev, minor words/ev, major GCs,
    events, matches) *)
-let replay ~arena ~names ~net raws =
+let replay ~names ~net raws =
   let poet = Poet.create ~trace_names:names () in
   (* OCEP_PINS=0 disables pinned searches — an ablation knob for isolating
      ingest/dispatch/anchored-search cost from the pinned batches *)
@@ -90,8 +70,7 @@ let replay ~arena ~names ~net raws =
     else
       Some
         (Engine.create
-           ~config:
-             { Engine.default_config with Engine.record_latency = false; pin_searches; arena }
+           ~config:{ Engine.default_config with Engine.record_latency = false; pin_searches }
            ~net ~poet ())
   in
   Fun.protect
@@ -103,8 +82,7 @@ let replay ~arena ~names ~net raws =
       let q0 = Gc.quick_stat () in
       let a0 = Gc.allocated_bytes () in
       let t0 = Clock.now_s () in
-      if arena then Array.iter (fun r -> ignore (Poet.ingest_flat poet r)) raws
-      else Array.iter (fun r -> ignore (Poet.ingest poet r)) raws;
+      Array.iter (fun r -> ignore (Poet.ingest_flat poet r)) raws;
       let wall_s = Clock.now_s () -. t0 in
       let alloc = Gc.allocated_bytes () -. a0 in
       let q1 = Gc.quick_stat () in
@@ -119,16 +97,7 @@ let replay ~arena ~names ~net raws =
         matches ))
 
 let wall_of (w, _, _, _, _, _) = w
-let matches_of (_, _, _, _, _, m) = m
 
-let median a =
-  let s = Array.copy a in
-  Array.sort compare s;
-  let n = Array.length s in
-  if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.
-
-(* rows for one case (one per mode) plus the median within-cycle arena
-   speedup and alloc ratio, when both modes ran *)
 let bench_case ~max_events ~reps case =
   let traces = bench_traces case in
   let w = Cases.make case ~traces ~seed:2013 ~max_events in
@@ -139,71 +108,34 @@ let bench_case ~max_events ~reps case =
   in
   let raws = Array.of_list (List.rev !raws) in
   let net = Compile.compile (Parser.parse w.Workload.pattern) in
-  (* warm up each mode once: settles allocator and code paths *)
-  List.iter (fun m -> ignore (replay ~arena:(m = "arena") ~names ~net raws)) modes;
-  let results = Hashtbl.create 4 in
-  List.iter (fun m -> Hashtbl.replace results m (Array.make reps (0., 0., 0., 0, 0, 0))) modes;
-  for rep = 0 to reps - 1 do
-    (* deterministically shuffle the mode order each cycle *)
-    let order =
-      List.sort (fun a b -> compare (Hashtbl.hash (rep, a)) (Hashtbl.hash (rep, b))) modes
-    in
-    List.iter
-      (fun m ->
-        let arena = m = "arena" in
-        let r1 = replay ~arena ~names ~net raws in
-        let r2 = replay ~arena ~names ~net raws in
-        (Hashtbl.find results m).(rep) <- (if wall_of r1 <= wall_of r2 then r1 else r2))
-      order
-  done;
-  (* the two modes must be observably identical *)
-  (match modes with
-  | [ m1; m2 ] ->
-    let a = matches_of (Hashtbl.find results m1).(0)
-    and b = matches_of (Hashtbl.find results m2).(0) in
-    if a <> b then (
-      Printf.eprintf "FATAL: %s: %d matches with %s, %d with %s — modes diverged\n" case a m1 b
-        m2;
-      exit 1)
-  | _ -> ());
-  let row_of m =
-    let runs = Hashtbl.find results m in
-    (* the fastest cycle: wall-clock noise on a shared box is strictly
-       additive (scheduler steal, cache pollution), so the minimum is
-       the consistent estimator of the noise-free cost, and taking the
-       whole cycle keeps all metrics in a row from one actual replay.
-       The cross-mode speedup below stays a median of within-cycle
-       ratios, which cancels drift instead. *)
-    let sorted = Array.copy runs in
-    Array.sort (fun a b -> Float.compare (wall_of a) (wall_of b)) sorted;
-    let wall_s, alloc_per_event, minor_words_per_event, major_collections, events, matches =
-      sorted.(0)
-    in
-    {
-      case;
-      mode = m;
-      traces;
-      events;
-      wall_s;
-      events_per_s = float_of_int events /. wall_s;
-      us_per_event = wall_s *. 1e6 /. float_of_int (max 1 events);
-      alloc_per_event;
-      minor_words_per_event;
-      major_collections;
-      matches;
-    }
+  (* warm up once: settles allocator and code paths *)
+  ignore (replay ~names ~net raws);
+  let runs =
+    Array.init reps (fun _ ->
+        let r1 = replay ~names ~net raws in
+        let r2 = replay ~names ~net raws in
+        if wall_of r1 <= wall_of r2 then r1 else r2)
   in
-  let rows = List.map row_of modes in
-  let ratios =
-    if List.mem "arena" modes && List.mem "record" modes then
-      let aw = Hashtbl.find results "arena" and rw = Hashtbl.find results "record" in
-      let speedup = median (Array.init reps (fun i -> wall_of rw.(i) /. wall_of aw.(i))) in
-      let ar = List.find (fun r -> r.mode = "arena") rows
-      and rr = List.find (fun r -> r.mode = "record") rows in
-      Some (speedup, ar.alloc_per_event /. rr.alloc_per_event)
-    else None
+  (* the fastest cycle: wall-clock noise on a shared box is strictly
+     additive (scheduler steal, cache pollution), so the minimum is the
+     consistent estimator of the noise-free cost, and taking the whole
+     cycle keeps all metrics in a row from one actual replay *)
+  Array.sort (fun a b -> Float.compare (wall_of a) (wall_of b)) runs;
+  let wall_s, alloc_per_event, minor_words_per_event, major_collections, events, matches =
+    runs.(0)
   in
-  (rows, ratios)
+  {
+    case;
+    traces;
+    events;
+    wall_s;
+    events_per_s = float_of_int events /. wall_s;
+    us_per_event = wall_s *. 1e6 /. float_of_int (max 1 events);
+    alloc_per_event;
+    minor_words_per_event;
+    major_collections;
+    matches;
+  }
 
 (* ---- baseline exchange format: one tab-separated line per row ---- *)
 
@@ -211,8 +143,8 @@ let write_raw path rows =
   let oc = open_out path in
   List.iter
     (fun r ->
-      Printf.fprintf oc "%s\t%s\t%d\t%d\t%.6f\t%.1f\t%.3f\t%.1f\t%.1f\t%d\t%d\n" r.case r.mode
-        r.traces r.events r.wall_s r.events_per_s r.us_per_event r.alloc_per_event
+      Printf.fprintf oc "%s\t%d\t%d\t%.6f\t%.1f\t%.3f\t%.1f\t%.1f\t%d\t%d\n" r.case r.traces
+        r.events r.wall_s r.events_per_s r.us_per_event r.alloc_per_event
         r.minor_words_per_event r.major_collections r.matches)
     rows;
   close_out oc
@@ -224,11 +156,10 @@ let read_raw path =
      while true do
        let line = input_line ic in
        match String.split_on_char '\t' (String.trim line) with
-       | [ case; mode; traces; events; wall_s; eps; upe; ape; mwpe; majc; matches ] ->
+       | [ case; traces; events; wall_s; eps; upe; ape; mwpe; majc; matches ] ->
          rows :=
            {
              case;
-             mode;
              traces = int_of_string traces;
              events = int_of_string events;
              wall_s = float_of_string wall_s;
@@ -237,23 +168,6 @@ let read_raw path =
              alloc_per_event = float_of_string ape;
              minor_words_per_event = float_of_string mwpe;
              major_collections = int_of_string majc;
-             matches = int_of_string matches;
-           }
-           :: !rows
-       | [ case; traces; events; wall_s; eps; upe; ape; matches ] ->
-         (* legacy pre-arena format: boxed path, no GC columns *)
-         rows :=
-           {
-             case;
-             mode = "record";
-             traces = int_of_string traces;
-             events = int_of_string events;
-             wall_s = float_of_string wall_s;
-             events_per_s = float_of_string eps;
-             us_per_event = float_of_string upe;
-             alloc_per_event = float_of_string ape;
-             minor_words_per_event = 0.;
-             major_collections = 0;
              matches = int_of_string matches;
            }
            :: !rows
@@ -284,8 +198,7 @@ let () =
     | a :: _ -> failwith ("unknown argument " ^ a)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  Printf.printf "hot-path bench: %d events/case, %d interleaved cycles, modes: %s\n%!" max_events
-    reps (String.concat " " modes);
+  Printf.printf "hot-path bench: %d events/case, %d cycles\n%!" max_events reps;
   let cases =
     match Sys.getenv_opt "OCEP_CASES" with
     | None -> Cases.names
@@ -293,98 +206,64 @@ let () =
       let want = String.split_on_char ',' s in
       List.filter (fun c -> List.mem c want) Cases.names
   in
-  let per_case = List.map (fun c -> (c, bench_case ~max_events ~reps c)) cases in
+  let rows = List.map (bench_case ~max_events ~reps) cases in
   let base = Option.map read_raw !baseline in
-  let base_for case mode =
-    (* exact (case, mode) match first, then a legacy record-mode row *)
-    Option.bind base (fun rs ->
-        match List.find_opt (fun r -> r.case = case && r.mode = mode) rs with
-        | Some r -> Some r
-        | None -> List.find_opt (fun r -> r.case = case && r.mode = "record") rs)
-  in
-  Printf.printf "\n%-10s %7s %-7s | %12s %14s | %10s %10s %6s | %8s %8s\n" "case" "traces"
-    "mode" "us/event" "events/s" "alloc B/ev" "minorW/ev" "majGC" "arena-x" "vs-base";
+  let base_for case = Option.bind base (List.find_opt (fun r -> r.case = case)) in
+  Printf.printf "\n%-10s %7s | %12s %14s | %10s %10s %6s | %8s\n" "case" "traces" "us/event"
+    "events/s" "alloc B/ev" "minorW/ev" "majGC" "vs-base";
   List.iter
-    (fun (case, (rows, ratios)) ->
-      ignore case;
-      List.iter
-        (fun r ->
-          let arena_x =
-            match ratios with
-            | Some (s, _) when r.mode = "arena" -> Printf.sprintf "%7.2fx" s
-            | _ -> "      --"
-          in
-          let vs_base =
-            match base_for r.case r.mode with
-            | Some b -> Printf.sprintf "%7.2fx" (r.events_per_s /. b.events_per_s)
-            | None -> "      --"
-          in
-          Printf.printf "%-10s %7d %-7s | %12.3f %14.1f | %10.1f %10.1f %6d | %s %s\n" r.case
-            r.traces r.mode r.us_per_event r.events_per_s r.alloc_per_event
-            r.minor_words_per_event r.major_collections arena_x vs_base)
-        rows)
-    per_case;
-  let all_rows = List.concat_map (fun (_, (rows, _)) -> rows) per_case in
+    (fun r ->
+      let vs_base =
+        match base_for r.case with
+        | Some b -> Printf.sprintf "%7.2fx" (r.events_per_s /. b.events_per_s)
+        | None -> "      --"
+      in
+      Printf.printf "%-10s %7d | %12.3f %14.1f | %10.1f %10.1f %6d | %s\n" r.case r.traces
+        r.us_per_event r.events_per_s r.alloc_per_event r.minor_words_per_event
+        r.major_collections vs_base)
+    rows;
   (match !raw_out with
   | Some p ->
-    write_raw p all_rows;
+    write_raw p rows;
     Printf.printf "\nwrote %s\n" p
   | None -> ());
   let oc = open_out !out in
-  Printf.fprintf oc "{\n  \"events_per_case\": %d,\n  \"reps\": %d,\n  \"modes\": [%s],\n  \"cases\": {\n"
-    max_events reps
-    (String.concat ", " (List.map (Printf.sprintf "%S") modes));
-  let n_cases = List.length per_case in
+  Printf.fprintf oc "{\n  \"events_per_case\": %d,\n  \"reps\": %d,\n  \"cases\": {\n" max_events
+    reps;
+  let n_cases = List.length rows in
   List.iteri
-    (fun i (case, (rows, ratios)) ->
-      Printf.fprintf oc "    %S: {\n" case;
-      let parts =
-        List.map
-          (fun r ->
-            let before =
-              match base_for r.case r.mode with
-              | Some b ->
-                Printf.sprintf
-                  ",\n        \"before\": %s,\n        \"speedup_events_per_s\": %.3f,\n        \
-                   \"alloc_ratio\": %.3f"
-                  (json_of_row b)
-                  (r.events_per_s /. b.events_per_s)
-                  (r.alloc_per_event /. b.alloc_per_event)
-              | None -> ""
-            in
-            Printf.sprintf "      %S: {\n        \"after\": %s%s\n      }" r.mode (json_of_row r)
-              before)
-          rows
-        @
-        match ratios with
-        | Some (speedup, alloc_ratio) ->
-          [
-            Printf.sprintf "      \"arena_speedup_events_per_s\": %.3f" speedup;
-            Printf.sprintf "      \"arena_alloc_ratio\": %.3f" alloc_ratio;
-          ]
-        | None -> []
+    (fun i r ->
+      let before =
+        match base_for r.case with
+        | Some b ->
+          Printf.sprintf
+            ",\n      \"before\": %s,\n      \"speedup_events_per_s\": %.3f,\n      \
+             \"alloc_ratio\": %.3f"
+            (json_of_row b)
+            (r.events_per_s /. b.events_per_s)
+            (r.alloc_per_event /. b.alloc_per_event)
+        | None -> ""
       in
-      Printf.fprintf oc "%s\n    }%s\n" (String.concat ",\n" parts)
+      Printf.fprintf oc "    %S: {\n      \"after\": %s%s\n    }%s\n" r.case (json_of_row r)
+        before
         (if i = n_cases - 1 then "" else ","))
-    per_case;
+    rows;
   Printf.fprintf oc "  }\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" !out;
-  (* CI smoke: fail when the deadlock arena path exceeds the allocation
-     budget (bytes/event) *)
+  (* CI smoke: fail when the deadlock case exceeds the allocation budget
+     (bytes/event) *)
   match Sys.getenv_opt "OCEP_HOTPATH_MAX_ALLOC" with
   | None -> ()
   | Some budget ->
     let budget = float_of_string budget in
-    (match
-       List.find_opt (fun r -> r.case = "deadlock" && r.mode = "arena") all_rows
-     with
-    | None -> Printf.eprintf "alloc budget set but no deadlock arena row; skipping check\n"
+    (match List.find_opt (fun r -> r.case = "deadlock") rows with
+    | None -> Printf.eprintf "alloc budget set but no deadlock row; skipping check\n"
     | Some r ->
       if r.alloc_per_event > budget then (
-        Printf.eprintf "FAIL: deadlock arena alloc %.1f B/event exceeds budget %.1f\n"
+        Printf.eprintf "FAIL: deadlock alloc %.1f B/event exceeds budget %.1f\n"
           r.alloc_per_event budget;
         exit 1)
       else
-        Printf.printf "alloc budget ok: deadlock arena %.1f B/event <= %.1f\n" r.alloc_per_event
+        Printf.printf "alloc budget ok: deadlock %.1f B/event <= %.1f\n" r.alloc_per_event
           budget)

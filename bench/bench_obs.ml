@@ -15,7 +15,7 @@
    - [provenance] base plus the flight recorder (direct feed)
    - [wire]       provenance plus the full per-record ingest stamping:
                   [Engine.feed_wire] with verdict and timestamps, and
-                  the watermark plane, with Source.replay's 1-in-64
+                  the watermark plane, with Source.replay_stream's 1-in-64
                   timing sampling — everything a wire replay keeps on
    - [tracing]    provenance plus span tracing (the opt-in debug
                   facility), fed directly — the same basis the ~+40%
@@ -73,7 +73,7 @@ let replay ~mode ~names ~net raws =
         if mode.wire then begin
           (* what a wire replay pays per record on top of the direct
              feed: the provenance stamp through [feed_wire] plus the
-             watermark plane, with Source.replay's 1-in-64 timing
+             watermark plane, with Source.replay_stream's 1-in-64 timing
              sampling (full stamps on sampled records, tracker-only
              advances and stamp reuse on the rest) *)
           let wm = Watermark.create (Engine.metrics engine) in

@@ -310,14 +310,6 @@ let run_cmd =
   let no_pruning =
     Arg.(value & flag & info [ "no-pruning" ] ~doc:"Disable the O(1) history-pruning rule.")
   in
-  let parallelism =
-    Arg.(
-      value & opt int 1
-      & info [ "parallelism"; "j" ] ~docv:"N"
-          ~doc:
-            "Workers for the pinned-search fan-out on each terminating event: 1 = sequential \
-             (default), 0 = one worker per core, N > 1 = a persistent pool of N workers.")
-  in
   let max_reports =
     Arg.(value & opt int 20 & info [ "max-reports" ] ~docv:"N" ~doc:"Reports to print.")
   in
@@ -346,7 +338,7 @@ let run_cmd =
           ~doc:
             "Record a span per terminating arrival and per search into a bounded ring buffer \
              and dump it to FILE as Chrome trace_event JSON (load in chrome://tracing or \
-             Perfetto; worker-domain searches appear as their own rows).")
+             Perfetto).")
   in
   let metrics_every =
     Arg.(
@@ -358,12 +350,8 @@ let run_cmd =
              each snapshot to the JSON file's $(b,snapshots) array (the final snapshot is \
              always last).")
   in
-  let run pattern_files trace_file no_pruning parallelism max_reports diagram metrics_out
-      trace_out metrics_every listen linger =
-    if parallelism < 0 then (
-      Printf.eprintf "ocep: --parallelism must be >= 0 (0 = one worker per core), got %d\n"
-        parallelism;
-      exit 2);
+  let run pattern_files trace_file no_pruning max_reports diagram metrics_out trace_out
+      metrics_every listen linger =
     (match metrics_every with
     | Some n when n <= 0 ->
       Printf.eprintf "ocep: --metrics-every must be positive, got %d\n" n;
@@ -379,7 +367,6 @@ let run_cmd =
       {
         Engine.default_config with
         Engine.pruning = not no_pruning;
-        parallelism;
         (* keep the raw samples for the latency printout below, and feed the
            bounded histogram too when a metrics file was asked for *)
         latency_sink = (if metrics_out <> None then Engine.Both else Engine.Samples);
@@ -430,8 +417,6 @@ let run_cmd =
         (Ocep_obs.Tracer.length tr) path
         (Ocep_obs.Tracer.dropped tr)
     | _ -> ());
-    if parallelism <> 1 then
-      Printf.printf "parallelism: %d workers\n" (Engine.parallelism engine);
     Printf.printf "events: %d   matches found: %d   reported subset: %d\n"
       (Engine.events_processed engine)
       (Engine.matches_found engine)
@@ -488,8 +473,8 @@ let run_cmd =
   let info = Cmd.info "run" ~doc:"Reload a trace dump and match a pattern against it online." in
   Cmd.v info
     Term.(
-      const run $ pattern_files $ trace_file $ no_pruning $ parallelism $ max_reports $ diagram
-      $ metrics_out $ trace_out $ metrics_every $ listen_arg $ linger_arg)
+      const run $ pattern_files $ trace_file $ no_pruning $ max_reports $ diagram $ metrics_out
+      $ trace_out $ metrics_every $ listen_arg $ linger_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay                                                              *)
@@ -572,11 +557,6 @@ let replay_cmd =
             "Decode and admit frames in blocks of $(docv), amortizing per-record costs \
              (and, with $(b,--pipeline), the queue hand-off). 1 = per-record.")
   in
-  let parallelism =
-    Arg.(
-      value & opt int 1
-      & info [ "parallelism"; "j" ] ~docv:"N" ~doc:"Engine search workers, as in $(b,ocep run).")
-  in
   let max_reports =
     Arg.(value & opt int 0 & info [ "max-reports" ] ~docv:"N" ~doc:"Reports to print.")
   in
@@ -591,10 +571,7 @@ let replay_cmd =
              .prom.")
   in
   let run pattern_files wire_file faults fault_seed gap_policy reorder_window queue_capacity
-      queue_policy pipeline block_size parallelism max_reports metrics_out listen linger =
-    if parallelism < 0 then (
-      Printf.eprintf "ocep: --parallelism must be >= 0, got %d\n" parallelism;
-      exit 2);
+      queue_policy pipeline block_size max_reports metrics_out listen linger =
     let srv = telemetry_start listen in
     let nets = load_pattern_files pattern_files in
     let ic = open_in_bin wire_file in
@@ -609,8 +586,7 @@ let replay_cmd =
     let config =
       {
         Engine.default_config with
-        Engine.parallelism;
-        latency_sink = (if metrics_out <> None then Engine.Histogram else Engine.Samples);
+        Engine.latency_sink = (if metrics_out <> None then Engine.Histogram else Engine.Samples);
       }
     in
     let engine = Engine.create ~config ~poet () in
@@ -705,8 +681,8 @@ let replay_cmd =
   Cmd.v info
     Term.(
       const run $ pattern_files $ wire_file $ faults $ fault_seed $ gap_policy $ reorder_window
-      $ queue_capacity $ queue_policy $ pipeline $ block_size $ parallelism $ max_reports
-      $ metrics_out $ listen_arg $ linger_arg)
+      $ queue_capacity $ queue_policy $ pipeline $ block_size $ max_reports $ metrics_out
+      $ listen_arg $ linger_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1212,10 +1188,9 @@ let fuzz_cmd =
     Cmd.info "fuzz"
       ~doc:
         "Differential fuzzing: random (pattern, workload, fault schedule) cases — every \
-         third one a template-instantiated multi-pattern registry — checked against the \
-         parallel engine, the arena/record differential, dedicated per-pattern engines \
-         (vs the shared dispatch automaton), the brute-force oracle and record/replay; \
-         diverging cases are minimized and written to the corpus."
+         third one a template-instantiated multi-pattern registry — checked against \
+         dedicated per-pattern engines (vs the shared dispatch automaton), the brute-force \
+         oracle and record/replay; diverging cases are minimized and written to the corpus."
   in
   Cmd.v info Term.(const run $ seeds $ start_seed $ mutant $ corpus_dir)
 
@@ -1318,8 +1293,7 @@ let repro_cmd =
     | Some "ablations" ->
       Repro.ablation_pruning ppf ~scale;
       Repro.ablation_history ppf ~scale;
-      Repro.ablation_gc ppf ~scale;
-      Repro.ablation_parallel ppf ~scale
+      Repro.ablation_gc ppf ~scale
     | Some other -> Format.eprintf "unknown section %s@." other);
     0
   in

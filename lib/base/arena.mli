@@ -13,8 +13,7 @@
     symbol table and clock pool the arena deliberately does not.
 
     Single writer (the ingest path); concurrent readers are safe while
-    no push is in flight — the engine's fan-out workers only read
-    between arrivals. *)
+    no push is in flight. *)
 
 type t
 

@@ -9,10 +9,7 @@
 
     A table is owned by one {!Ocep_poet.Poet} store; symbols from
     different tables are not comparable. Not thread-safe: interning
-    happens only on the ingest path (single domain), while the read-only
-    [name]/[size] accessors are safe from the fan-out workers because the
-    table is append-only and workers only look up ids interned before
-    the batch started. *)
+    happens only on the ingest path (single domain). *)
 
 type t
 

@@ -18,8 +18,7 @@
     on compressed operands.
 
     Not thread-safe for writers; safe for concurrent readers while no
-    tick/snapshot is running (the engine's fan-out workers only read
-    between arrivals). *)
+    tick/snapshot is running. *)
 
 type t
 

@@ -125,7 +125,7 @@ let generate ~seed =
   }
 
 (* ---------------------------------------------------------------- *)
-(* The five oracles                                                  *)
+(* The three oracles                                                 *)
 (* ---------------------------------------------------------------- *)
 
 let base_config = { Engine.default_config with Engine.record_latency = false }
@@ -167,93 +167,39 @@ let observe_handle h =
 let check ?mutation case =
   let nets = Compile.compile_file (Parser.parse_file case.c_pattern) in
   let cfg = mutate_config base_config mutation in
-  let seq_cfg = { cfg with Engine.parallelism = 1 } in
-  (* the sequential registry run is the reference every oracle compares
-     against *)
+  (* the registry run is the reference every oracle compares against *)
   let poet, engine, handles =
-    build_registry ~config:seq_cfg ~traces:case.c_traces ~retain:true nets case.c_events
+    build_registry ~config:cfg ~traces:case.c_traces ~retain:true nets case.c_events
   in
-  let digest_seq = Runner.reports_digest engine in
+  let digest_live = Runner.reports_digest engine in
   let events = Poet.all_events poet in
-  (* oracle A: a 4-worker engine forced onto the search pool must be
-     observably identical to the sequential one *)
-  let divergence =
-    let par_cfg =
-      { cfg with Engine.parallelism = 4; cutover_batch = 0; cutover_work = 0 }
-    in
-    let _, engine_p, _ =
-      build_registry ~config:par_cfg ~traces:case.c_traces nets []
-    in
-    let digest_par =
-      Fun.protect
-        ~finally:(fun () -> Engine.shutdown engine_p)
-        (fun () ->
-          List.iter (fun r -> ignore (Engine.feed_raw engine_p r)) case.c_events;
-          Runner.reports_digest engine_p)
-    in
-    if digest_par = digest_seq then None
-    else
-      Some
-        {
-          d_oracle = "engine-parallel";
-          d_detail =
-            Printf.sprintf "sequential digest %s <> 4-worker digest %s" digest_seq digest_par;
-        }
-  in
-  (* oracle A': the flat-arena subscription (the default) and the boxed
-     record path must be observably identical — same dispatch decisions,
-     same searches, same reports. This is the contract that lets the
-     arena fast path replace the record path at all. *)
-  let divergence =
-    match divergence with
-    | Some _ -> divergence
-    | None ->
-      let rec_cfg = { seq_cfg with Engine.arena = not seq_cfg.Engine.arena } in
-      let _, engine_r, _ =
-        build_registry ~config:rec_cfg ~traces:case.c_traces nets case.c_events
-      in
-      let digest_rec = Runner.reports_digest engine_r in
-      if digest_rec = digest_seq then None
-      else
-        Some
-          {
-            d_oracle = "arena-record";
-            d_detail =
-              Printf.sprintf "arena=%b digest %s <> arena=%b digest %s"
-                seq_cfg.Engine.arena digest_seq rec_cfg.Engine.arena digest_rec;
-          }
-  in
-  (* oracle D: automaton vs dedicated dispatch — the registry compiles
+  (* oracle A: automaton vs dedicated dispatch — the registry compiles
      every pattern into one shared discrimination network, and each
      pattern's observables must still be bit-identical to a dedicated
      single-pattern engine fed the same stream (node sharing, the
      touched-pattern worklist and shared plans are pure plumbing) *)
   let divergence =
-    match divergence with
-    | Some _ -> divergence
-    | None ->
-      if List.length nets < 2 then None
-      else
-        let rec per_pattern = function
-          | [] -> None
-          | ((name, net), h) :: rest ->
-            let poet_d = Poet.create ~trace_names:case.c_traces () in
-            let engine_d = Engine.create ~config:seq_cfg ~net ~poet:poet_d () in
-            List.iter (fun r -> ignore (Engine.feed_raw engine_d r)) case.c_events;
-            let hd = List.hd (Engine.handles engine_d) in
-            if observe_handle hd = observe_handle h then per_pattern rest
-            else
-              Some
-                {
-                  d_oracle = "automaton-dedicated";
-                  d_detail =
-                    Printf.sprintf
-                      "pattern %s: shared-automaton registry diverges from its dedicated \
-                       engine"
-                      name;
-                }
-        in
-        per_pattern (List.combine nets handles)
+    if List.length nets < 2 then None
+    else
+      let rec per_pattern = function
+        | [] -> None
+        | ((name, net), h) :: rest ->
+          let poet_d = Poet.create ~trace_names:case.c_traces () in
+          let engine_d = Engine.create ~config:cfg ~net ~poet:poet_d () in
+          List.iter (fun r -> ignore (Engine.feed_raw engine_d r)) case.c_events;
+          let hd = List.hd (Engine.handles engine_d) in
+          if observe_handle hd = observe_handle h then per_pattern rest
+          else
+            Some
+              {
+                d_oracle = "automaton-dedicated";
+                d_detail =
+                  Printf.sprintf
+                    "pattern %s: shared-automaton registry diverges from its dedicated engine"
+                    name;
+              }
+      in
+      per_pattern (List.combine nets handles)
   in
   (* oracle B: brute-force enumeration, per registered pattern — every
      report is a real match, and the subset covers exactly the slots the
@@ -347,7 +293,7 @@ let check ?mutation case =
       @@ fun () ->
       let reader = Framing.create_reader ic in
       let poet_r = Poet.create ~trace_names:case.c_traces () in
-      let engine_r = Engine.create ~config:seq_cfg ~poet:poet_r () in
+      let engine_r = Engine.create ~config:cfg ~poet:poet_r () in
       List.iter (fun (_, net) -> ignore (Engine.add_pattern engine_r net)) nets;
       (* patience comfortably above the largest displacement block
          shuffling can produce, so pristine streams always recover and
@@ -363,14 +309,14 @@ let check ?mutation case =
       (match Ocep_ingest.Session.replay ~config:session_cfg ~engine:engine_r reader with
       | (_ : Source.stats) ->
         let digest_replay = Runner.reports_digest engine_r in
-        if digest_replay = digest_seq then None
+        if digest_replay = digest_live then None
         else
           Some
             {
               d_oracle = "record-replay";
               d_detail =
                 Format.asprintf "live digest %s <> replay digest %s under faults %a"
-                  digest_seq digest_replay Inject.pp_faults faults;
+                  digest_live digest_replay Inject.pp_faults faults;
             }
       | exception Admission.Gap msg ->
         Some { d_oracle = "record-replay"; d_detail = "unrecoverable gap: " ^ msg })

@@ -6,12 +6,10 @@
     transport. {!check} runs the case through three independent oracles,
     any of which failing is an engine bug:
 
-    - {b engine-parallel}: the sequential engine and a 4-worker engine
-      forced onto the search pool must produce bit-identical match
-      reports ({!Runner.reports_digest}).
-    - {b arena-record}: the flat-arena subscription and the boxed
-      record path must produce bit-identical reports — the contract
-      that lets the arena fast path stand in for the record path.
+    - {b automaton-dedicated}: when the case registers several
+      patterns, each pattern's observables in the shared registry must
+      equal those of a dedicated single-pattern engine fed the same
+      stream.
     - {b oracle-soundness} / {b oracle-coverage}: against the
       brute-force {!Ocep_baselines.Oracle} — every retained report is a
       real match, and the representative subset covers exactly the
@@ -19,8 +17,8 @@
       counted) when the enumeration would exceed a work budget.
     - {b record-replay}: record the stream, degrade it with the case's
       (restorable: reorder + duplicate, no drop) faults, replay through
-      framing + admission into a fresh engine — the digest must be
-      bit-identical.
+      framing + admission into a fresh engine — the digest must equal
+      the live run's ({!Runner.reports_digest}).
 
     A diverging case is {!shrink}-minimized by greedy event deletion and
     saved to a corpus directory as a small text file that {!load} reads
@@ -55,8 +53,8 @@ val mutation_of_name : string -> mutation option
 
 type divergence = {
   d_oracle : string;
-      (** [engine-parallel], [arena-record], [oracle-soundness],
-          [oracle-coverage] or [record-replay] *)
+      (** [automaton-dedicated], [oracle-soundness], [oracle-coverage]
+          or [record-replay] *)
   d_detail : string;
 }
 

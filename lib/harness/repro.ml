@@ -498,160 +498,6 @@ let ablation_gc ppf ~scale =
     [ None; Some 1_000 ];
   Format.fprintf ppf "@."
 
-let ablation_parallel ppf ~scale =
-  Format.fprintf ppf
-    "== Ablation A4 (future work): parallel traversal of the first level's traces ==@.";
-  Format.fprintf ppf "available cores (recommended domain count): %d@."
-    (Stdlib.Domain.recommended_domain_count ());
-  let max_events = max 5_000 (scale.events / 4) in
-  let w = Cases.make "deadlock" ~traces:50 ~seed:2024 ~max_events in
-  let names = Sim.trace_names w.Workload.sim_config in
-  let poet = Poet.create ~retain:true ~trace_names:names () in
-  let net = Compile.compile (Parser.parse w.Workload.pattern) in
-  let _ =
-    Sim.run w.Workload.sim_config
-      ~sink:(fun raw -> ignore (Poet.ingest poet raw))
-      ~bodies:w.Workload.bodies
-  in
-  let events = Poet.all_events poet in
-  let n_traces = Array.length names in
-  let history = History.create net ~n_traces ~pruning:true () in
-  List.iter
-    (fun ev ->
-      History.note_comm history ev;
-      for i = 0 to Compile.size net - 1 do
-        if Compile.leaf_matches net i ev then History.add history ~leaf:i ev
-      done)
-    events;
-  let anchors =
-    List.concat_map
-      (fun (e : Event.t) ->
-        List.filter_map
-          (fun i ->
-            if net.Compile.terminating.(i) && Compile.leaf_matches net i e then Some (i, e)
-            else None)
-          (List.init (Compile.size net) (fun i -> i)))
-      events
-  in
-  let inet = inet_of poet net in
-  let run_seq () =
-    let found = ref 0 in
-    let t0 = Clock.now_s () in
-    List.iter
-      (fun (i, e) ->
-        match
-          Matcher.search ~net:inet ~history ~n_traces ~trace_of_sym:(Poet.trace_of_sym poet)
-            ~partner_of:(Poet.find_partner poet) ~anchor_leaf:i ~anchor:e ()
-        with
-        | Matcher.Found _ -> incr found
-        | _ -> ())
-      anchors;
-    (!found, Clock.now_s () -. t0)
-  in
-  let run_par workers =
-    let pool = Ocep.Pool.create ~workers in
-    let finally () = Ocep.Pool.shutdown pool in
-    Fun.protect ~finally (fun () ->
-        let found = ref 0 in
-        let t0 = Clock.now_s () in
-        List.iter
-          (fun (i, e) ->
-            match
-              Ocep.Par.search ~pool ~net:inet ~history ~n_traces
-                ~trace_of_sym:(Poet.trace_of_sym poet)
-                ~partner_of:(Poet.find_partner poet) ~anchor_leaf:i ~anchor:e ()
-            with
-            | Matcher.Found _ -> incr found
-            | _ -> ())
-          anchors;
-        (!found, Clock.now_s () -. t0))
-  in
-  let f0, t_seq = run_seq () in
-  let f2, t2 = run_par 2 in
-  let f4, t4 = run_par 4 in
-  Format.fprintf ppf "%d anchored deadlock searches (50 traces):@." (List.length anchors);
-  Format.fprintf ppf "  sequential : %4d found  %.4f s@." f0 t_seq;
-  Format.fprintf ppf "  2 workers  : %4d found  %.4f s@." f2 t2;
-  Format.fprintf ppf "  4 workers  : %4d found  %.4f s@." f4 t4;
-  Format.fprintf ppf
-    "  (the case-study searches take microseconds; dispatch overhead wins)@.";
-  (* a worst-case exhaustive search, where per-trace subtrees are big: a
-     concurrency triangle with many candidates per trace and a third class
-     that always wipes out *)
-  let n_traces = 17 in
-  let per_trace = max 500 (scale.events / 50) in
-  let names = Array.init n_traces (fun i -> "P" ^ string_of_int i) in
-  let poet = Poet.create ~trace_names:names () in
-  let net =
-    Compile.compile
-      (Parser.parse
-         "A := [_, A, _]; B := [_, B, _]; C := [_, C, _]; A $a; B $b; C $c;\n\
-          pattern := $a || $b && $b || $c && $a || $c;")
-  in
-  let history = History.create net ~n_traces ~pruning:false () in
-  let feed raw =
-    let ev = Poet.ingest poet raw in
-    History.note_comm history ev;
-    for i = 0 to Compile.size net - 1 do
-      if Compile.leaf_matches net i ev then History.add history ~leaf:i ev
-    done;
-    ev
-  in
-  (* A events everywhere except the last two traces; no messages, so all
-     concurrent with the anchor *)
-  for _ = 1 to per_trace do
-    for t = 0 to n_traces - 3 do
-      ignore (feed { Event.r_trace = t; r_etype = "A"; r_text = ""; r_kind = Event.Internal })
-    done
-  done;
-  (* C events causally before the anchor: the C level always wipes out *)
-  for _ = 1 to 4 do
-    ignore (feed { Event.r_trace = n_traces - 2; r_etype = "C"; r_text = ""; r_kind = Event.Internal })
-  done;
-  ignore (feed { Event.r_trace = n_traces - 2; r_etype = "m"; r_text = ""; r_kind = Event.Send { msg = 1 } });
-  ignore (feed { Event.r_trace = n_traces - 1; r_etype = "m"; r_text = ""; r_kind = Event.Receive { msg = 1 } });
-  let anchor = feed { Event.r_trace = n_traces - 1; r_etype = "B"; r_text = ""; r_kind = Event.Internal } in
-  let inet = inet_of poet net in
-  let seq_search () =
-    let t0 = Clock.now_s () in
-    let o =
-      Matcher.search ~net:inet ~history ~n_traces ~trace_of_sym:(Poet.trace_of_sym poet)
-        ~partner_of:(Poet.find_partner poet) ~anchor_leaf:1 ~anchor ()
-    in
-    (o, Clock.now_s () -. t0)
-  in
-  let par_search workers =
-    let pool = Ocep.Pool.create ~workers in
-    let finally () = Ocep.Pool.shutdown pool in
-    Fun.protect ~finally (fun () ->
-        let t0 = Clock.now_s () in
-        let o =
-          Ocep.Par.search ~pool ~net:inet ~history ~n_traces
-            ~trace_of_sym:(Poet.trace_of_sym poet)
-            ~partner_of:(Poet.find_partner poet) ~anchor_leaf:1 ~anchor ()
-        in
-        (o, Clock.now_s () -. t0))
-  in
-  let show name (o, dt) =
-    Format.fprintf ppf "  %-11s: %-9s %.4f s@." name
-      (match o with
-      | Matcher.Found _ -> "found"
-      | Matcher.Not_found -> "exhausted"
-      | Matcher.Aborted -> "aborted")
-      dt
-  in
-  Format.fprintf ppf
-    "one exhaustive triangle search (%d A-candidates on each of %d traces):@." per_trace
-    (n_traces - 2);
-  show "sequential" (seq_search ());
-  show "2 workers" (par_search 2);
-  show "4 workers" (par_search 4);
-  if Stdlib.Domain.recommended_domain_count () <= 1 then
-    Format.fprintf ppf
-      "  (single-core machine: worker domains only add dispatch overhead here;@.\
-      \   the speedup requires real cores - correctness is property-tested either way)@.";
-  Format.fprintf ppf "@."
-
 let all ppf ~scale =
   Format.fprintf ppf
     "OCEP evaluation reproduction - %d events/run, %d run(s) pooled per configuration@.\
@@ -667,5 +513,4 @@ let all ppf ~scale =
   lattice ppf ~scale;
   ablation_pruning ppf ~scale;
   ablation_history ppf ~scale;
-  ablation_gc ppf ~scale;
-  ablation_parallel ppf ~scale
+  ablation_gc ppf ~scale

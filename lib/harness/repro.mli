@@ -64,10 +64,5 @@ val ablation_gc : Format.formatter -> scale:scale -> unit
     on the race workload, whose concurrency pattern makes both leaves
     collectable. *)
 
-val ablation_parallel : Format.formatter -> scale:scale -> unit
-(** A4 (the paper's third future-work item): the traces of the first
-    backtracking level searched in parallel by a domain pool vs
-    sequentially — wall time over the deadlock case's anchored searches. *)
-
 val all : Format.formatter -> scale:scale -> unit
 (** Everything above, in paper order. *)

@@ -106,7 +106,6 @@ let run ?(engine_config = Engine.default_config) ?(cutoff_margin = 0.05) (w : Wo
       | Some inj -> Hashtbl.replace last_resolved_seq inj.Inject.inj_id (Poet.ingested poet)
       | None -> ());
   let engine = Engine.create ~config:engine_config ~net ~poet () in
-  (* join any fan-out worker domains even if the run raises *)
   Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
   let sim = Sim.run w.sim_config ~sink:(fun raw -> ignore (Poet.ingest poet raw)) ~bodies:w.bodies in
   let events = Poet.ingested poet in

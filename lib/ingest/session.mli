@@ -7,8 +7,7 @@
     dance through every call site. {!config} is the one flat record:
     the CLI's [ocep replay] flags, the service tier's per-tenant
     admission settings and the tests all build it from {!default} and
-    override fields by name. {!Source.replay} remains as a deprecated
-    shim for one release; new code goes through {!replay}.
+    override fields by name.
 
     Fault degradation ([faults]/[fault_seed]) lives here too: a faulted
     replay decodes the pristine log, applies the deterministic
@@ -51,6 +50,6 @@ val replay :
     this is exactly the streaming path (constant memory); with faults
     the whole stream is decoded first (memory O(frames)) and [log], if
     given, receives one line describing the degradation (frame counts
-    before and after). [tick] as in {!Source.replay}. Raises
+    before and after). [tick] as in {!Source.replay_stream}. Raises
     [Invalid_argument] on a trace-table mismatch and lets
     {!Admission.Gap} escape, like the underlying stream replay. *)

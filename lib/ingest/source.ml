@@ -78,7 +78,7 @@ let check_traces engine reader =
   let got = Framing.reader_trace_names reader in
   if got <> expect then
     invalid_arg
-      (Printf.sprintf "Source.replay: stream traces [%s] do not match the engine's [%s]"
+      (Printf.sprintf "Source.replay_stream: stream traces [%s] do not match the engine's [%s]"
          (String.concat "; " (Array.to_list got))
          (String.concat "; " (Array.to_list expect)))
 
@@ -364,5 +364,3 @@ let replay_stream ?(config = default_config) ?(tick = fun () -> ()) ~engine read
     queue_max_occupancy = queue_max;
     admission = a;
   }
-
-let replay = replay_stream

@@ -82,10 +82,3 @@ val replay_stream :
     under live load. Raises [Invalid_argument] when the stream's trace
     table does not match the engine's POET store (same names, same
     order), and lets {!Admission.Gap} escape. *)
-
-val replay :
-  ?config:config -> ?tick:(unit -> unit) -> engine:Ocep.Engine.t -> Framing.reader -> stats
-[@@deprecated "use Session.replay (typed Session.config) or Source.replay_stream"]
-(** Alias of {!replay_stream}, kept for one release so out-of-tree
-    callers keep compiling; {!Session.replay} is the supported entry
-    point and adds fault degradation. *)

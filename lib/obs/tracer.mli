@@ -2,12 +2,12 @@
     [trace_event] JSON (loadable by chrome://tracing and Perfetto).
 
     A span is one completed unit of engine work — a terminating arrival,
-    an anchored or pinned search, a worker's drain of a fan-out batch —
-    with a name, a category, a wall-clock interval and a few typed
-    arguments. Spans are recorded after the fact (one call per span, no
-    open/close pairing) into a fixed-capacity ring: memory is
-    O(capacity) and an always-on tracer over a ≥1M-event run simply
-    keeps the most recent spans, counting what it overwrote.
+    an anchored or pinned search — with a name, a category, a wall-clock
+    interval and a few typed arguments. Spans are recorded after the
+    fact (one call per span, no open/close pairing) into a
+    fixed-capacity ring: memory is O(capacity) and an always-on tracer
+    over a ≥1M-event run simply keeps the most recent spans, counting
+    what it overwrote.
 
     The ring is preallocated as a structure of arrays, so the typed
     entry points ({!record_search}, {!record_arrival}) allocate nothing
@@ -15,9 +15,8 @@
     stores. The generic {!record} path keeps the old association-list
     arguments for ad-hoc spans off the hot path.
 
-    Recording is thread-safe (a mutex around the ring slot), so worker
-    domains of the search pool record their spans directly, tagged with
-    their own domain id as the [tid]. *)
+    Recording is thread-safe (a mutex around the ring slot). The engine
+    tags each span with its domain's id as the [tid]. *)
 
 type arg = Int of int | Float of float | Str of string
 

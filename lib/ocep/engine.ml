@@ -21,14 +21,10 @@ type config = {
   record_latency : bool;
   latency_sink : latency_sink;
   gc_every : int option;
-  parallelism : int;
-  cutover_batch : int;
-  cutover_work : int;
   trace_spans : bool;
   trace_capacity : int;
   provenance : bool;
   provenance_capacity : int;
-  arena : bool;
 }
 
 let default_trace_capacity = 65_536
@@ -52,14 +48,10 @@ let default_config =
     record_latency = true;
     latency_sink = Samples;
     gc_every = None;
-    parallelism = 1;
-    cutover_batch = 4;
-    cutover_work = 256;
     trace_spans = false;
     trace_capacity = default_trace_capacity;
     provenance = true;
     provenance_capacity = default_provenance_capacity;
-    arena = true;
   }
 
 (* Reject configurations that would crash later (gc_every = Some 0 used
@@ -77,12 +69,6 @@ let validate_config (c : config) =
   | Some n when n <= 0 -> fail "Engine.create: max_history_per_trace must be positive, got %d" n
   | _ -> ());
   if c.report_cap < 0 then fail "Engine.create: report_cap must be non-negative, got %d" c.report_cap;
-  if c.parallelism < 0 then
-    fail "Engine.create: parallelism must be >= 0 (0 = one worker per core), got %d" c.parallelism;
-  if c.cutover_batch < 0 then
-    fail "Engine.create: cutover_batch must be non-negative, got %d" c.cutover_batch;
-  if c.cutover_work < 0 then
-    fail "Engine.create: cutover_work must be non-negative, got %d" c.cutover_work;
   if c.trace_capacity <= 0 then
     fail "Engine.create: trace_capacity must be positive, got %d" c.trace_capacity;
   if c.provenance_capacity <= 0 then
@@ -128,11 +114,7 @@ type meters = {
   m_covered : Metrics.gauge;
   m_seen : Metrics.gauge;
   m_subset_dropped : Metrics.counter;
-  m_fan_outs : Metrics.counter;
-  m_fan_out_tasks : Metrics.counter;
-  m_spec_discards : Metrics.counter;
   m_pinned_skipped : Metrics.counter;
-  m_worker_busy : Metrics.gauge array;  (* by worker index *)
   m_poet_ingested : Metrics.counter;
   m_poet_notified : Metrics.counter;
   m_spans : Metrics.counter;
@@ -159,7 +141,7 @@ type pmeters = {
 
 (* The isolated per-pattern state: everything that was engine state when
    the engine owned exactly one pattern, minus the shared substrate
-   (POET subscription, history store, frontier, pool, calibration). *)
+   (POET subscription, history store, frontier). *)
 type pstate = {
   pid : pattern_id;
   pnet : Compile.t;
@@ -167,7 +149,6 @@ type pstate = {
   phistory : History.t;  (* leaf-indexed view onto the shared store *)
   psubset : Subset.t;
   pstats : Matcher.stats;
-  pfirst_leaf : int array;  (* anchor leaf -> first-level leaf, -1 for k = 1 *)
   pplans : Matcher.plan option array;
       (* anchor leaf -> precomputed search plan, boxed once as the
          optional argument [Matcher.search] takes, as are the two below:
@@ -215,12 +196,10 @@ type t = {
          stamp: the flight recorder reads the clock once every 16
          events and reuses the stamp in between, so always-on
          provenance pays ~2 ns/event of clock time instead of ~30 *)
-  (* the event currently being dispatched, in whichever form the
-     subscription delivered it. In arena mode [cur_ev] starts at the
-     [Event.none] sentinel and [cur_event] materializes the boxed view
-     on first demand (class match, search anchor) — events matching no
-     class never get boxed at all. In record mode [cur_ev] is the
-     subscription argument and [cur_eid] is -1. *)
+  (* the event currently being dispatched: its arena row, and the boxed
+     view [cur_event] materializes on first demand (class match, search
+     anchor) — [Event.none] until then, so events matching no class
+     never get boxed at all *)
   mutable cur_eid : int;
   mutable cur_ev : Event.t;
   intern : string -> int;
@@ -235,10 +214,10 @@ type t = {
          candidate array (one bounds check and one load); edits are
          incremental, so add/remove_pattern cost does not grow with the
          number of registered patterns. *)
-  plan_cache : (string, Matcher.plan option array * int array) Hashtbl.t;
-      (* shape key -> (plans, first search leaves): template instances
-         (and any structurally equal patterns) share one physical plan
-         set — plans are immutable and depend only on the net's shape *)
+  plan_cache : (string, Matcher.plan option array) Hashtbl.t;
+      (* shape key -> plans: template instances (and any structurally
+         equal patterns) share one physical plan set — plans are
+         immutable and depend only on the net's shape *)
   touched : pstate Vec.t;
       (* the patterns the current arrival touched, in first-touch order;
          sorted by pid before phases 2-3 so per-event work is
@@ -247,25 +226,12 @@ type t = {
       (* class-predicate evaluations saved by node sharing: for each
          candidate node tested, subscribers-beyond-the-first many
          per-leaf tests collapse into the one node test *)
-  pb_pattern : pstate Vec.t;
-  pb_anchor : int Vec.t;
-  pb_slot : int Vec.t;
-      (* one round's surviving pinned searches across all patterns, as
-         parallel vectors: the pattern, its anchor leaf and the pinned
-         slot (packed, see Subset.pending_slot), in (pattern_id, slot)
-         order — the deterministic merge order of the fan-out *)
-  parallelism : int;  (* resolved: >= 1 *)
-  mutable pool : Search_pool.t option;  (* spawned on first fan-out *)
+  pins : int Vec.t;
+      (* one anchor's surviving pinned slots (packed, see
+         Subset.pending_slot) in pending order, all decided before the
+         first of them runs *)
   mutable events_processed : int;
   mutable terminating_arrivals : int;
-  mutable speculative_discards : int;
-  (* cut-over self-calibration: EWMA of per-slot wall time for eligible
-     batches, one per execution mode, plus sample/eligibility counters *)
-  mutable ew_inline_us : float;
-  mutable ew_fan_us : float;
-  mutable inline_samples : int;
-  mutable fan_samples : int;
-  mutable eligible_batches : int;
 }
 
 (* A node is GC-able only when every subscribed (pattern, leaf) pair is
@@ -275,7 +241,7 @@ let recompute_gcable (n : pstate Network.node) =
   Network.set_gcable n
     (Array.for_all (fun ((q : pstate), l) -> q.pgcable.(l)) n.Network.nsubs)
 
-let make_meters metrics ~parallelism =
+let make_meters metrics =
   let c ?help name = Metrics.counter metrics ?help name in
   let g ?help name = Metrics.gauge metrics ?help name in
   (* registration order is exposition order, so bind each instrument with a
@@ -307,19 +273,8 @@ let make_meters metrics ~parallelism =
     c ~help:"Coverage-advancing reports dropped by report_cap"
       "ocep_subset_reports_dropped_total"
   in
-  let m_fan_outs = c ~help:"Pinned-search batches fanned out" "ocep_fan_outs_total" in
-  let m_fan_out_tasks = c ~help:"Pinned searches run by the pool" "ocep_fan_out_tasks_total" in
-  let m_spec_discards =
-    c ~help:"Speculative pinned results discarded at merge" "ocep_speculative_discards_total"
-  in
   let m_pinned_skipped =
     c ~help:"Pinned searches skipped by the slot pre-filter" "ocep_pinned_skipped_total"
-  in
-  let m_worker_busy =
-    Array.init parallelism (fun i ->
-        g
-          ~help:"Wall-clock seconds each fan-out worker spent searching"
-          (Metrics.with_labels "ocep_pool_worker_busy_seconds" [ ("worker", string_of_int i) ]))
   in
   let m_poet_ingested = c ~help:"Events ingested by POET" "ocep_poet_events_ingested_total" in
   let m_poet_notified =
@@ -354,11 +309,7 @@ let make_meters metrics ~parallelism =
     m_covered;
     m_seen;
     m_subset_dropped;
-    m_fan_outs;
-    m_fan_out_tasks;
-    m_spec_discards;
     m_pinned_skipped;
-    m_worker_busy;
     m_poet_ingested;
     m_poet_notified;
     m_spans;
@@ -468,10 +419,6 @@ let first_pattern t =
 let create_multi ?(config = default_config) ~poet () =
   validate_config config;
   let n_traces = Poet.trace_count poet in
-  let parallelism =
-    if config.parallelism = 0 then max 1 (Stdlib.Domain.recommended_domain_count ())
-    else config.parallelism
-  in
   let metrics = Metrics.create () in
   let t =
     {
@@ -486,7 +433,7 @@ let create_multi ?(config = default_config) ~poet () =
         Metrics.histogram metrics
           ~help:"Per-terminating-arrival processing time (microseconds)" "ocep_latency_us";
       metrics;
-      meters = make_meters metrics ~parallelism;
+      meters = make_meters metrics;
       tracer =
         (if config.trace_spans then Some (Tracer.create ~capacity:config.trace_capacity)
          else None);
@@ -515,19 +462,9 @@ let create_multi ?(config = default_config) ~poet () =
       plan_cache = Hashtbl.create 16;
       touched = Vec.create ();
       shared_evals = 0;
-      pb_pattern = Vec.create ();
-      pb_anchor = Vec.create ();
-      pb_slot = Vec.create ();
-      parallelism;
-      pool = None;
+      pins = Vec.create ();
       events_processed = 0;
       terminating_arrivals = 0;
-      speculative_discards = 0;
-      ew_inline_us = 0.;
-      ew_fan_us = 0.;
-      inline_samples = 0;
-      fan_samples = 0;
-      eligible_batches = 0;
     }
   in
   let consume_outcome (p : pstate) outcome =
@@ -546,9 +483,7 @@ let create_multi ?(config = default_config) ~poet () =
      bumps pmatches and invalidates every record — DESIGN.md §4b).
      There the skip is a heuristic in the budget's own spirit: the slot
      looks exactly as it did when an identical pin failed, so re-paying
-     the (budget-capped) search is judged not worth it. Sequential and
-     parallel modes build records and skips identically, so their
-     equivalence is unaffected. *)
+     the (budget-capped) search is judged not worth it. *)
   let consume_pin (p : pstate) l tr outcome =
     (match outcome with
     | Matcher.Not_found ->
@@ -601,14 +536,6 @@ let create_multi ?(config = default_config) ~poet () =
         ~outcome:(outcome_tag outcome) ~pin_leaf ~pin_trace;
       outcome
   in
-  let get_pool () =
-    match t.pool with
-    | Some p -> p
-    | None ->
-      let p = Search_pool.create ?tracer:t.tracer ~workers:t.parallelism () in
-      t.pool <- Some p;
-      p
-  in
   let maybe_gc () =
     match config.gc_every with
     | Some n when t.events_processed mod n = 0 -> begin
@@ -646,10 +573,9 @@ let create_multi ?(config = default_config) ~poet () =
     end
     | _ -> ()
   in
-  (* Skip decision for one of a pattern's slots in one pinned batch, made
-     before any search of the batch runs so that inline and fanned-out
-     execution agree. Each rule only skips searches that must return
-     Not_found:
+  (* Skip decision for one of a pattern's slots in one anchor's pinned
+     batch, made before any search of the batch runs. Each rule only
+     skips searches that must return Not_found:
      1. the slot's (leaf, trace) history is empty — every candidate a
         pinned search could bind to the pinned leaf on that trace lives
         in exactly that history;
@@ -665,75 +591,10 @@ let create_multi ?(config = default_config) ~poet () =
        && p.ppin_gen.(l).(tr) = History.generation p.phistory ~leaf:l ~trace:tr
        && p.ppin_matches.(l).(tr) = p.pmatches)
   in
-  (* Both thresholds at 0 force the pool for every batch (used by tests
-     and reproductions that must exercise the parallel path). *)
-  let forced_fan_out = config.cutover_batch = 0 && config.cutover_work = 0 in
-  let ewma old x = if old <= 0. then x else (0.8 *. old) +. (0.2 *. x) in
-  let calib_samples = 3 in
-  (* One round's pinned batch ([n] searches anchored at [ev]), run on
-     this domain or fanned out to the pool; defined once here so a round
-     allocates no closures. *)
-  let run_inline ev n =
-    for bi = 0 to n - 1 do
-      let p = Vec.get t.pb_pattern bi and slot = Vec.get t.pb_slot bi in
-      let l = Subset.slot_leaf p.psubset slot and tr = Subset.slot_trace p.psubset slot in
-      if not (Subset.is_covered p.psubset ~leaf:l ~trace:tr) then
-        consume_pin p l tr (run_search p ~anchor_leaf:(Vec.get t.pb_anchor bi) ~anchor:ev ~slot)
-    done
-  in
-  let fan_out ev n =
-    let results =
-      Search_pool.run (get_pool ()) ~n (fun i ->
-          let p = Vec.get t.pb_pattern i and anchor_leaf = Vec.get t.pb_anchor i in
-          let slot = Vec.get t.pb_slot i in
-          let l = Subset.slot_leaf p.psubset slot and tr = Subset.slot_trace p.psubset slot in
-          let stats = Matcher.new_stats () in
-          let search () =
-            (* plans are immutable, so sharing one across worker
-               domains is safe *)
-            Matcher.search ?plan:p.pplans.(anchor_leaf) ~net:p.pinet ~history:p.phistory
-              ~n_traces ~trace_of_sym:t.trace_of_sym ~partner_of:t.partner_of ~anchor_leaf
-              ~anchor:ev ~pin:(l, tr) ?node_budget:config.node_budget ~stats ()
-          in
-          let outcome =
-            match t.tracer with
-            | None -> search ()
-            | Some trc ->
-              (* recorded on the executing domain: the span's tid
-                 is the worker's domain id, which is what puts
-                 worker rows in the Chrome trace *)
-              let ts = Clock.now_us () in
-              let o = search () in
-              let dt = Clock.now_us () -. ts in
-              Tracer.record_search trc ~name:"pinned" ~cat:"worker" ~ts_us:ts ~dur_us:dt
-                ~tid:(Stdlib.Domain.self () :> int)
-                ~pattern:p.pid ~anchor_leaf ~nodes:stats.Matcher.nodes
-                ~backjumps:stats.Matcher.backjumps ~outcome:(outcome_tag o) ~pin_leaf:l
-                ~pin_trace:tr;
-              o
-          in
-          (outcome, stats))
-    in
-    Array.iteri
-      (fun i (outcome, (s : Matcher.stats)) ->
-        let p = Vec.get t.pb_pattern i and slot = Vec.get t.pb_slot i in
-        let l = Subset.slot_leaf p.psubset slot and tr = Subset.slot_trace p.psubset slot in
-        p.pstats.Matcher.nodes <- p.pstats.Matcher.nodes + s.Matcher.nodes;
-        p.pstats.Matcher.backjumps <- p.pstats.Matcher.backjumps + s.Matcher.backjumps;
-        p.pstats.Matcher.searches <- p.pstats.Matcher.searches + s.Matcher.searches;
-        if s.Matcher.miss_level > p.pstats.Matcher.miss_level then begin
-          p.pstats.Matcher.miss_level <- s.Matcher.miss_level;
-          p.pstats.Matcher.miss_leaf <- s.Matcher.miss_leaf
-        end;
-        if not (Subset.is_covered p.psubset ~leaf:l ~trace:tr) then consume_pin p l tr outcome
-        else t.speculative_discards <- t.speculative_discards + 1)
-      results
-  in
-  (* The arrival body, shared by both subscription modes: everything up
-     to the searches needs only the scalar columns, so the arena path
-     dispatches without touching the OCaml heap; the boxed view is
-     demanded lazily by [cur_event] exactly when a class matches. The
-     caller has set [cur_eid]/[cur_ev]. *)
+  (* The arrival body: everything up to the searches needs only the
+     scalar arena columns, so dispatch runs without touching the OCaml
+     heap; the boxed view is demanded lazily by [cur_event] exactly when
+     a class matches. The caller has set [cur_eid]/[cur_ev]. *)
   let arrive ~trace ~index ~tsym ~esym ~xsym ~comm =
     t.events_processed <- t.events_processed + 1;
     History.note_comm_store_i t.store ~trace ~comm;
@@ -807,11 +668,10 @@ let create_multi ?(config = default_config) ~poet () =
         end
       done
     done;
-    (* phase 3 — search: rounds over anchor index; round r runs every
-       anchored pattern's r-th anchored search inline, then one combined
-       cross-pattern pinned batch. Each pattern's operation sequence
-       (anchored search, then its surviving pins in slot order) is
-       exactly what a dedicated engine would execute. *)
+    (* phase 3 — search, per touched pattern in pid order: each anchor
+       runs its anchored search, then its surviving pins in pending
+       order — exactly the operation sequence of a dedicated engine.
+       Patterns share only the history store, which no search writes. *)
     if !any_anchor then begin
       t.terminating_arrivals <- t.terminating_arrivals + 1;
       (* already materialized by the class-matched add_class above *)
@@ -819,94 +679,40 @@ let create_multi ?(config = default_config) ~poet () =
       let timed = config.record_latency || t.tracer <> None in
       let t0 = if timed then Clock.now_us () else 0. in
       let anchors_run = ref 0 in
-      let round = ref 0 in
-      let progressed = ref true in
-      while !progressed do
-        progressed := false;
-        Vec.reset t.pb_pattern;
-        Vec.reset t.pb_anchor;
-        Vec.reset t.pb_slot;
-        (* the O(1) work estimate for the batch: the largest
-           first-search-level history among the contributing anchors *)
-        let batch_work = ref 0 in
-        for ti = 0 to ntouched - 1 do
-          let p = Vec.get t.touched ti in
-          if !round < Vec.length p.panchors then begin
-              progressed := true;
-              incr anchors_run;
-              let anchor_leaf = Vec.get p.panchors !round in
-              let outcome = run_search p ~anchor_leaf ~anchor:ev ~slot:(-1) in
-              consume_outcome p outcome;
-              if config.pin_searches then begin
-                let anchored_failed =
-                  match outcome with Matcher.Not_found -> true | _ -> false
-                in
-                let ps = p.psubset in
-                let survivors = ref 0 in
-                for si = 0 to Subset.pending_slots ps - 1 do
-                  let slot = Subset.pending_slot ps si in
-                  let l = Subset.slot_leaf ps slot in
-                  (* a pin on the anchor leaf is either the anchor's own
-                     slot (just searched) or contradictory *)
-                  if l <> anchor_leaf then begin
-                    if
-                      config.pin_filtering
-                      && skip_slot p ~anchored_failed l (Subset.slot_trace ps slot)
-                    then p.pskipped <- p.pskipped + 1
-                    else begin
-                      incr survivors;
-                      Vec.push t.pb_pattern p;
-                      Vec.push t.pb_anchor anchor_leaf;
-                      Vec.push t.pb_slot slot
-                    end
-                  end
-                done;
-                if !survivors > 0 then begin
-                  let fsl = p.pfirst_leaf.(anchor_leaf) in
-                  let work = if fsl < 0 then 0 else History.entries_for p.phistory ~leaf:fsl in
-                  if work > !batch_work then batch_work := work
-                end
+      for ti = 0 to ntouched - 1 do
+        let p = Vec.get t.touched ti in
+        let ps = p.psubset in
+        for ai = 0 to Vec.length p.panchors - 1 do
+          incr anchors_run;
+          let anchor_leaf = Vec.get p.panchors ai in
+          let outcome = run_search p ~anchor_leaf ~anchor:ev ~slot:(-1) in
+          consume_outcome p outcome;
+          if config.pin_searches then begin
+            let anchored_failed = match outcome with Matcher.Not_found -> true | _ -> false in
+            (* every skip decision of the batch is made before its first
+               pin runs: rule 3 reads [pmatches], which a pin of this
+               batch can bump *)
+            Vec.reset t.pins;
+            for si = 0 to Subset.pending_slots ps - 1 do
+              let slot = Subset.pending_slot ps si in
+              let l = Subset.slot_leaf ps slot in
+              (* a pin on the anchor leaf is either the anchor's own
+                 slot (just searched) or contradictory *)
+              if l <> anchor_leaf then begin
+                if config.pin_filtering && skip_slot p ~anchored_failed l (Subset.slot_trace ps slot)
+                then p.pskipped <- p.pskipped + 1
+                else Vec.push t.pins slot
               end
-            end
-        done;
-        let n = Vec.length t.pb_slot in
-        if n > 0 then begin
-          (* Fan out only when there is enough surviving work to amortize
-             the pool's wake/merge cost; above the static gate the
-             cut-over self-calibrates on batch timings (see the config
-             docs). Inline and fanned-out execution are observably
-             identical, so the policy only affects wall-clock time. *)
-          let eligible =
-            t.parallelism > 1
-            && n >= max 2 config.cutover_batch
-            && !batch_work >= config.cutover_work
-          in
-          if forced_fan_out && t.parallelism > 1 then fan_out ev n
-          else if not eligible then run_inline ev n
-          else begin
-            t.eligible_batches <- t.eligible_batches + 1;
-            let fan =
-              if t.fan_samples < calib_samples then true
-              else if t.inline_samples < calib_samples then false
-              else begin
-                let prefer_fan = t.ew_fan_us < t.ew_inline_us in
-                if t.eligible_batches land 63 = 0 then not prefer_fan else prefer_fan
-              end
-            in
-            let tb = Clock.now_us () in
-            if fan then fan_out ev n else run_inline ev n;
-            let per_slot = (Clock.now_us () -. tb) /. float_of_int n in
-            if fan then begin
-              t.ew_fan_us <- ewma t.ew_fan_us per_slot;
-              t.fan_samples <- t.fan_samples + 1
-            end
-            else begin
-              t.ew_inline_us <- ewma t.ew_inline_us per_slot;
-              t.inline_samples <- t.inline_samples + 1
-            end
+            done;
+            for bi = 0 to Vec.length t.pins - 1 do
+              let slot = Vec.get t.pins bi in
+              let l = Subset.slot_leaf ps slot and tr = Subset.slot_trace ps slot in
+              (* an earlier pin of this batch may have covered the slot *)
+              if not (Subset.is_covered ps ~leaf:l ~trace:tr) then
+                consume_pin p l tr (run_search p ~anchor_leaf ~anchor:ev ~slot)
+            done
           end
-        end;
-        incr round
+        done
       done;
       if timed then begin
         let lat_us = Clock.now_us () -. t0 in
@@ -940,33 +746,23 @@ let create_multi ?(config = default_config) ~poet () =
     end;
     maybe_gc ()
   in
-  if config.arena then begin
-    let ar = Poet.arena poet in
-    (* a trace's symbol never changes, so read it from this
-       cache-resident table instead of the arena's streaming tsym
-       column (one fewer cold column touched per event) *)
-    let tsyms =
-      Array.map (Symbol.intern (Poet.symbols poet)) (Poet.trace_names poet)
-    in
-    Poet.subscribe_flat poet (fun eid ->
-        t.cur_eid <- eid;
-        (* avoid a write-barrier store per event: [cur_ev] only needs
-           clearing after a boxed-view materialization *)
-        if t.cur_ev != Event.none then t.cur_ev <- Event.none;
-        let trace = Arena.unsafe_trace ar eid in
-        arrive ~trace
-          ~index:(Arena.unsafe_index ar eid)
-          ~tsym:(Array.unsafe_get tsyms trace)
-          ~esym:(Arena.unsafe_esym ar eid)
-          ~xsym:(Arena.unsafe_xsym ar eid)
-          ~comm:(Arena.is_comm_tag (Arena.unsafe_kind_tag ar eid)))
-  end
-  else
-    Poet.subscribe poet (fun (ev : Event.t) ->
-        t.cur_eid <- -1;
-        t.cur_ev <- ev;
-        arrive ~trace:ev.trace ~index:ev.index ~tsym:ev.tsym ~esym:ev.esym ~xsym:ev.xsym
-          ~comm:(Event.is_comm ev));
+  let ar = Poet.arena poet in
+  (* a trace's symbol never changes, so read it from this cache-resident
+     table instead of the arena's streaming tsym column (one fewer cold
+     column touched per event) *)
+  let tsyms = Array.map (Symbol.intern (Poet.symbols poet)) (Poet.trace_names poet) in
+  Poet.subscribe_flat poet (fun eid ->
+      t.cur_eid <- eid;
+      (* avoid a write-barrier store per event: [cur_ev] only needs
+         clearing after a boxed-view materialization *)
+      if t.cur_ev != Event.none then t.cur_ev <- Event.none;
+      let trace = Arena.unsafe_trace ar eid in
+      arrive ~trace
+        ~index:(Arena.unsafe_index ar eid)
+        ~tsym:(Array.unsafe_get tsyms trace)
+        ~esym:(Arena.unsafe_esym ar eid)
+        ~xsym:(Arena.unsafe_xsym ar eid)
+        ~comm:(Arena.is_comm_tag (Arena.unsafe_kind_tag ar eid)));
   t
 
 let register_pattern t net =
@@ -983,24 +779,17 @@ let register_pattern t net =
      detaching a pattern leaving it large is merely conservative) *)
   History.set_run_cap t.store k;
   let pid = t.next_pid in
-  (* shape-shared artifacts: plans (and derived first search leaves)
-     depend only on the net's shape — spec kinds, constraint matrix,
-     partners, post-checks — never on exact symbol values, so template
-     instances (and any structurally equal patterns) share one physical
-     plan set *)
-  let plans, first_leaf =
+  (* shape-shared artifacts: plans depend only on the net's shape —
+     spec kinds, constraint matrix, partners, post-checks — never on
+     exact symbol values, so template instances (and any structurally
+     equal patterns) share one physical plan set *)
+  let plans =
     match Hashtbl.find_opt t.plan_cache (Compile.shape_key inet) with
     | Some v -> v
     | None ->
       let plans = Array.init k (fun l -> Some (Matcher.plan ~net:inet ~anchor_leaf:l)) in
-      let first_leaf =
-        Array.init k (fun l ->
-            match Matcher.first_search_leaf ~net:inet ~anchor_leaf:l with
-            | Some x -> x
-            | None -> -1)
-      in
-      Hashtbl.add t.plan_cache (Compile.shape_key inet) (plans, first_leaf);
-      (plans, first_leaf)
+      Hashtbl.add t.plan_cache (Compile.shape_key inet) plans;
+      plans
   in
   (* find-or-create this pattern's automaton nodes first — the history
      view is keyed on their ids. An O(leaves) incremental edit of the
@@ -1023,7 +812,6 @@ let register_pattern t net =
       pstats;
       pstats_arg = Some pstats;
       ppins = Array.make (k * t.n_traces) None;
-      pfirst_leaf = first_leaf;
       pplans = plans;
       pgcable = gc_able_leaves net;
       pgeneric =
@@ -1152,7 +940,6 @@ let sync_metrics t =
   Metrics.set m.m_covered (float_of_int (sum (fun p -> Subset.covered_count p.psubset)));
   Metrics.set m.m_seen (float_of_int (sum (fun p -> Subset.seen_count p.psubset)));
   Metrics.set_counter m.m_subset_dropped (sum (fun p -> Subset.dropped_count p.psubset));
-  Metrics.set_counter m.m_spec_discards t.speculative_discards;
   Metrics.set_counter m.m_pinned_skipped (sum (fun p -> p.pskipped));
   Metrics.set m.m_patterns (float_of_int (List.length t.patterns));
   Metrics.set_counter m.m_automaton_nodes (Network.nodes_allocated t.network);
@@ -1170,15 +957,6 @@ let sync_metrics t =
       Metrics.set_counter p.pm.pm_pinned_skipped p.pskipped;
       Metrics.set_counter p.pm.pm_subset_dropped (Subset.dropped_count p.psubset))
     t.patterns;
-  (match t.pool with
-  | Some p ->
-    let s = Search_pool.stats p in
-    Metrics.set_counter m.m_fan_outs s.Search_pool.fan_outs;
-    Metrics.set_counter m.m_fan_out_tasks s.Search_pool.tasks;
-    Array.iteri
-      (fun i busy -> if i < Array.length m.m_worker_busy then Metrics.set m.m_worker_busy.(i) busy)
-      s.Search_pool.busy_s
-  | None -> ());
   Metrics.set_counter m.m_poet_ingested (Poet.ingested t.poet);
   Metrics.set_counter m.m_poet_notified (Poet.notifications t.poet);
   (match t.flight with
@@ -1237,14 +1015,7 @@ let aborted_searches t = List.fold_left (fun acc (p : pstate) -> acc + p.paborte
 
 let pinned_skipped t = List.fold_left (fun acc (p : pstate) -> acc + p.pskipped) 0 t.patterns
 
-let parallelism t = t.parallelism
-
-let shutdown t =
-  match t.pool with
-  | Some p ->
-    Search_pool.shutdown p;
-    t.pool <- None
-  | None -> ()
+let shutdown (_ : t) = ()
 
 let poet t = t.poet
 
@@ -1253,8 +1024,8 @@ let feed_raw t raw = Poet.ingest t.poet raw
 let feed_raw_flat t raw = ignore (Poet.ingest_flat t.poet raw : int)
 
 (* Batch feed: one bounds check and one tight loop per block instead of
-   a per-event call through the boxed [ingest]. In arena mode nothing in
-   the loop allocates unless an event class-matches. *)
+   a per-event call through the boxed [ingest]. Nothing in the loop
+   allocates unless an event class-matches. *)
 let feed_block t ?(off = 0) ?len raws =
   let n = Array.length raws in
   let len = match len with Some l -> l | None -> n - off in
@@ -1265,8 +1036,6 @@ let feed_block t ?(off = 0) ?len raws =
   for i = off to off + len - 1 do
     ignore (Poet.ingest_flat poet (Array.unsafe_get raws i) : int)
   done
-
-let arena_mode t = t.cfg.arena
 
 let set_wire_stamps t ~decode_us ~admit_us =
   Array.unsafe_set t.pw_times 0 decode_us;

@@ -25,13 +25,11 @@
     leaves, runs one anchored search per anchor, plus — when
     [pin_searches] is on — one pinned search per still-uncovered coverage
     slot of that pattern, exactly the goForward/goBackward cycle of
-    Algorithm 1 driven by the subset objective. With [parallelism > 1]
-    the pinned searches of one arrival — {e across all patterns} — fan
-    out as a single (pattern, slot)-tagged batch on a persistent worker
-    pool ({!Search_pool}) and are merged deterministically in
-    (pattern_id, slot) order. The elapsed monotonic time of step (3) is
-    recorded per arrival; these samples are the distributions of
-    Figs. 6–10. *)
+    Algorithm 1 driven by the subset objective. Every search runs
+    sequentially on the domain that feeds the engine; parallelism comes
+    from running one engine per tenant on the service's shard domains.
+    The elapsed monotonic time of step (3) is recorded per arrival;
+    these samples are the distributions of Figs. 6–10. *)
 
 open Ocep_base
 module Compile = Ocep_pattern.Compile
@@ -59,11 +57,9 @@ type config = {
           coverage, reports and match counts are identical to unfiltered
           (DESIGN.md §4b proves the first two rules sound and the third
           inert). Under a budget the third rule is a heuristic in the
-          same spirit as the budget itself, applied identically in
-          sequential and parallel modes so their equivalence still
-          holds. On by default; the switch exists for A/B measurement
-          and the equivalence tests. Skips are counted in
-          [ocep_pinned_skipped_total]. *)
+          same spirit as the budget itself. On by default; the switch
+          exists for A/B measurement and the equivalence tests. Skips
+          are counted in [ocep_pinned_skipped_total]. *)
   node_budget : int option;  (** abort pathological searches, [None] = unlimited *)
   report_cap : int;  (** retained reported matches, per pattern *)
   record_latency : bool;
@@ -80,42 +76,10 @@ type config = {
           AND, which never changes coverage, reports or match counts.
           Requires every trace to keep producing events to make progress
           (the usual vector-clock GC caveat). [None] disables. *)
-  parallelism : int;
-      (** workers for the pinned-search fan-out on each terminating
-          arrival: [1] (the default) is the exact sequential behavior on
-          the calling domain; [0] means one worker per core
-          ([Domain.recommended_domain_count]); [n > 1] runs the pinned
-          searches of an arrival — across all registered patterns —
-          concurrently on a persistent {!Search_pool} of [n] workers
-          (the caller plus [n - 1] domains), merging results
-          deterministically so per-pattern coverage, reports and match
-          counts are identical to sequential. An engine that ever fanned
-          out must be {!shutdown} before program exit, or its worker
-          domains keep the process alive. *)
-  cutover_batch : int;
-      (** consider fanning a pinned batch out only when at least this
-          many searches survive the pre-filter (a floor of 2 always
-          applies: one search gains nothing from a pool). Batches passing
-          this and [cutover_work] are {e eligible}; above that static
-          gate the engine self-calibrates, timing eligible batches in
-          each mode (an EWMA of per-slot wall time) and running whichever
-          is currently faster, revisiting the other mode every 64th
-          eligible batch. On hardware where the pool cannot win the
-          engine therefore settles on inline execution by itself. Inline
-          and fanned-out execution are observably identical, so all of
-          this only tunes wall-clock time. Setting {e both} cut-over
-          fields to [0] bypasses the gate and the calibration and forces
-          the pool for every non-empty batch (for tests and
-          reproductions that must exercise the parallel path). *)
-  cutover_work : int;
-      (** ... and the largest first-search-level history among the
-          batch's anchors holds at least this many entries — the O(1)
-          estimate of per-search work. Small batches of trivial searches
-          run inline faster than the pool can wake. *)
   trace_spans : bool;
       (** record a span per terminating arrival and per anchored/pinned
-          search (including the fan-out workers' searches and drains,
-          tagged with their domain ids) into a bounded ring buffer; dump
+          search, tagged with the recording domain's id, into a bounded
+          ring buffer; dump
           it with {!tracer} + {!Ocep_obs.Tracer.dump}. Off by default:
           spans cost two clock reads and a mutex-protected ring write
           per search. *)
@@ -132,27 +96,15 @@ type config = {
           reconstructs causal chains from. On by default: recording is
           one clock read and a few array stores per event. *)
   provenance_capacity : int;  (** flight-recorder window, per trace *)
-  arena : bool;
-      (** subscribe to the POET store's flat eid stream instead of the
-          boxed [Event.t] stream. The dispatch prologue (epoch note,
-          flight stamp, class match) then runs on arena columns —
-          integer loads, no per-event allocation — and the boxed event
-          is materialized lazily, only for events that match some
-          class. Observables are bit-identical in both modes (the
-          differential fuzzer's arena oracle holds the engine to that);
-          the switch exists for the ablation benchmarks and the oracle
-          itself. On by default. *)
 }
 
 val default_config : config
 (** pruning on, no cap, pin searches on with filtering, no budget,
     100_000 reports, latency recording on into the [Samples] sink, gc
-    off, parallelism 1, cut-over at 4 surviving searches × 256
-    first-level entries, span tracing off (capacity 65_536 when
-    enabled), provenance on with a 1_024-event window per trace (sized
-    to keep the flight ring cache-resident; raise it when a deeper
-    [ocep explain] window matters more than the last few percent of
-    throughput), arena dispatch on. *)
+    off, span tracing off (capacity 65_536 when enabled), provenance on
+    with a 1_024-event window per trace (sized to keep the flight ring
+    cache-resident; raise it when a deeper [ocep explain] window matters
+    more than the last few percent of throughput). *)
 
 type t
 
@@ -257,8 +209,9 @@ val create :
 
     Raises [Invalid_argument] on a nonsensical config ([gc_every],
     [node_budget] or [max_history_per_trace] of [Some n] with [n <= 0], a
-    negative [report_cap], or a negative [parallelism]) and on any
-    pattern exceeding {!Compile.max_leaves}. *)
+    negative [report_cap], or a non-positive [trace_capacity] or
+    [provenance_capacity]) and on any pattern exceeding
+    {!Compile.max_leaves}. *)
 
 val add_pattern : t -> Compile.t -> Handle.t
 (** Register a pattern: intern it through the POET store's symbol table
@@ -322,10 +275,10 @@ val feed_raw : t -> Event.raw -> Event.t
     this way carry the [Direct] provenance verdict. *)
 
 val feed_raw_flat : t -> Event.raw -> unit
-(** {!feed_raw} without the boxed return value. In arena mode (and with
-    no other boxed POET clients) the whole ingest + dispatch path then
-    allocates nothing for events that match no class — the hot-path
-    entry point for raw-speed feeding. *)
+(** {!feed_raw} without the boxed return value. With no boxed POET
+    clients the whole ingest + dispatch path then allocates nothing for
+    events that match no class — the hot-path entry point for raw-speed
+    feeding. *)
 
 val feed_block : t -> ?off:int -> ?len:int -> Event.raw array -> unit
 (** Feed a block of raw events ([off], [len] select a slice; the whole
@@ -333,9 +286,6 @@ val feed_block : t -> ?off:int -> ?len:int -> Event.raw array -> unit
     half of the arrival path used by {!Ocep_ingest.Source}'s block mode
     and the benchmarks. Raises [Invalid_argument] on an out-of-bounds
     slice. *)
-
-val arena_mode : t -> bool
-(** Whether this engine subscribed in arena (flat eid) mode. *)
 
 val set_wire_stamps : t -> decode_us:float -> admit_us:float -> unit
 (** Set the decode/admit timestamps the flight recorder will stamp on
@@ -409,7 +359,7 @@ val metrics : t -> Ocep_obs.Metrics.t
 
 val sync_metrics : t -> unit
 (** Copy every internal counter (engine, per-pattern, matcher, history,
-    subset, pool, POET, tracer) into the registry. O(instruments); safe
+    subset, POET, tracer) into the registry. O(instruments); safe
     to call as often as snapshots are wanted, including mid-run. *)
 
 val tracer : t -> Ocep_obs.Tracer.t option
@@ -445,14 +395,9 @@ val covered_slots : t -> int
 val seen_slots : t -> int
 
 val search_stats : t -> Matcher.stats
-(** Merged counters across all patterns and searches, including the
-    workers' when fanning out. With [parallelism > 1] the
-    node/backjump/search counts include speculative pinned searches
-    whose slot an earlier match of the same arrival already covered
-    (sequential execution would have skipped them); coverage, reports
-    and {!matches_found} never include them. For a single-pattern engine
-    this is that pattern's live stats record; with several patterns it
-    is a fresh snapshot summed at call time. *)
+(** Merged counters across all patterns and searches. For a
+    single-pattern engine this is that pattern's live stats record; with
+    several patterns it is a fresh snapshot summed at call time. *)
 
 val aborted_searches : t -> int
 
@@ -461,12 +406,6 @@ val pinned_skipped : t -> int
     [ocep_pinned_skipped_total]) — each one a whole search the engine
     proved futile from O(1) state instead of running. *)
 
-val parallelism : t -> int
-(** The resolved worker count: the config's [parallelism] with [0]
-    replaced by [Domain.recommended_domain_count]. *)
-
 val shutdown : t -> unit
-(** Join the fan-out worker domains, if any were ever spawned. The
-    engine remains usable (a later fan-out re-creates the pool).
-    Idempotent; a no-op for [parallelism = 1] engines, which never spawn
-    domains. *)
+(** A no-op: the engine owns no domains or other resources to release.
+    Kept for existing callers; it will be removed with them. *)

@@ -676,9 +676,6 @@ let search ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf 
     release ctx;
     raise e
 
-let first_search_leaf ~net ~anchor_leaf =
-  if Compile.size net.Compile.net <= 1 then None else Some (make_order net ~anchor_leaf).(1)
-
 (* Exhaustive enumeration owns its context: [yield] may start searches
    of its own on this domain. *)
 let enumerate ?plan ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf ~anchor

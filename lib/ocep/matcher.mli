@@ -49,9 +49,9 @@ type plan
 (** Precomputed per-[(net, anchor_leaf)] search strategy: the evaluation
     order, its inverse, and the partner adjacency. These are pure
     functions of the pattern and the anchor leaf, so callers issuing many
-    searches for the same anchor leaf (the engine, the parallel fan-out)
-    build the plan once instead of re-deriving it per search. Plans are
-    immutable and safe to share across domains. *)
+    searches for the same anchor leaf (the engine) build the plan once
+    instead of re-deriving it per search. Plans are immutable and safe
+    to share across domains. *)
 
 val plan : net:Compile.inet -> anchor_leaf:int -> plan
 (** Raises [Invalid_argument] for patterns over 62 leaves. *)
@@ -86,11 +86,6 @@ val search :
     and [partner_of] allocate). Nested calls are safe: a
     search started while another runs on the same domain (from one of
     its callbacks, or from another thread) gets a private context. *)
-
-val first_search_leaf : net:Compile.inet -> anchor_leaf:int -> int option
-(** The leaf instantiated at the first backtracking level for this anchor
-    (per the evaluation-order heuristic), or [None] for single-leaf
-    patterns — the level whose trace iteration {!Par} parallelizes. *)
 
 val enumerate :
   ?plan:plan ->

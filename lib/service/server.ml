@@ -92,10 +92,10 @@ type t = {
 }
 
 let engine_config =
-  (* one engine per tenant, pinned to its shard domain: matching stays
-     sequential per tenant (parallelism 1 — a worker pool per tenant
-     would oversubscribe the machine shards^2-fold), and the bounded
-     histogram sink keeps a long-lived tenant's memory flat *)
+  (* one engine per tenant, pinned to its shard domain: matching is
+     sequential per tenant, so the shard domains are the service's only
+     parallelism, and the bounded histogram sink keeps a long-lived
+     tenant's memory flat *)
   { Engine.default_config with Engine.latency_sink = Engine.Histogram }
 
 let make_tenant cfg ~name ~traces ~quota ~policy ~wr =

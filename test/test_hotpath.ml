@@ -185,56 +185,6 @@ let skip_metric_exposed () =
   check "skip counted in exposition" true (contains prom "ocep_pinned_skipped_total 1")
 
 (* ------------------------------------------------------------------ *)
-(* Arena subscription == record subscription, end to end               *)
-(* ------------------------------------------------------------------ *)
-
-(* The flat-arena fast path must be report-identical to the boxed
-   record path on every built-in workload — the four paper case
-   studies and the four protocol cases — sequentially and with the
-   search pool forced on (4 workers, zero cutover). One digest per
-   (arena, parallelism) cell; all four cells must agree. *)
-let arena_equals_record_all_workloads () =
-  List.iter
-    (fun case ->
-      (* 5 traces satisfies every workload's minimum (election needs 4,
-         ordering's random walk 5) *)
-      let w = Cases.make case ~traces:5 ~seed:2013 ~max_events:2_000 in
-      let names = Sim.trace_names w.Workload.sim_config in
-      let net = net_of w.Workload.pattern in
-      let raws = ref [] in
-      ignore
-        (Sim.run w.Workload.sim_config
-           ~sink:(fun r -> raws := r :: !raws)
-           ~bodies:w.Workload.bodies);
-      let raws = List.rev !raws in
-      let digest ~arena ~parallelism =
-        let config =
-          {
-            Engine.default_config with
-            Engine.record_latency = false;
-            arena;
-            parallelism;
-            cutover_batch = (if parallelism > 1 then 0 else Engine.default_config.Engine.cutover_batch);
-            cutover_work = (if parallelism > 1 then 0 else Engine.default_config.Engine.cutover_work);
-          }
-        in
-        let poet = Poet.create ~trace_names:names () in
-        let engine = Engine.create ~config ~net ~poet () in
-        Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
-        List.iter (fun r -> ignore (Poet.ingest poet r)) raws;
-        Ocep_harness.Runner.reports_digest engine
-      in
-      let reference = digest ~arena:true ~parallelism:1 in
-      List.iter
-        (fun (arena, parallelism) ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s: arena=%b workers=%d" case arena parallelism)
-            reference
-            (digest ~arena ~parallelism))
-        [ (false, 1); (true, 4); (false, 4) ])
-    Cases.all_names
-
-(* ------------------------------------------------------------------ *)
 (* Allocation budgets                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -343,11 +293,6 @@ let () =
     [
       ( "interning",
         [ QCheck_alcotest.to_alcotest interned_equals_string_reference ] );
-      ( "arena parity",
-        [
-          Alcotest.test_case "arena = record on all 8 workloads, seq and 4-worker" `Quick
-            arena_equals_record_all_workloads;
-        ] );
       ( "pin filtering",
         [
           QCheck_alcotest.to_alcotest filtering_changes_no_observable;

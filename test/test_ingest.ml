@@ -603,13 +603,15 @@ let replay_frames ~config ~net ~trace_names frames =
   Admission.finish adm;
   (Runner.reports_digest engine, Admission.stats adm)
 
-let degraded_replay_is_bit_identical ~config () =
+let sequential_config = Engine.default_config
+
+let degraded_replay_is_bit_identical () =
   List.iter
     (fun case ->
       let mk () = Cases.make case ~traces:6 ~seed:5 ~max_events:3000 in
       let w = mk () in
       let net = Compile.compile (Parser.parse w.Workload.pattern) in
-      let direct_digest, direct_events = run_direct ~config ~net w in
+      let direct_digest, direct_events = run_direct ~config:sequential_config ~net w in
       with_temp @@ fun tmp ->
       (* same seed: the recorded stream is the same event sequence *)
       record_to ~path:tmp (mk ());
@@ -621,19 +623,14 @@ let degraded_replay_is_bit_identical ~config () =
           ~seed:13 frames
       in
       check (case ^ ": delivery degraded") true (faulted <> frames);
-      let replay_digest, st = replay_frames ~config ~net ~trace_names faulted in
+      let replay_digest, st = replay_frames ~config:sequential_config ~net ~trace_names faulted in
       checki (case ^ ": nothing lost") direct_events st.Admission.admitted;
       checki (case ^ ": no gaps") 0 st.Admission.gaps;
       check (case ^ ": duplicates suppressed") true (st.Admission.duplicates > 0);
       checks (case ^ ": digests equal") direct_digest replay_digest)
     Cases.names
 
-let sequential_config = Engine.default_config
-
-let parallel_config =
-  { Engine.default_config with Engine.parallelism = 4; cutover_batch = 0; cutover_work = 0 }
-
-(* Source.replay end to end over a file, pipelined: the full production
+(* Session.replay end to end over a file, pipelined: the full production
    path (reader domain, bounded queue, admission, engine) reproduces the
    direct digest *)
 let source_replay_pipelined () =
@@ -659,31 +656,6 @@ let source_replay_pipelined () =
   checki "nothing shed" 0 st.Source.queue_shed;
   check "queue bounded" true (st.Source.queue_max_occupancy <= 64);
   checks "digest equals direct" direct_digest (Runner.reports_digest engine)
-
-(* The deprecated Source.replay shim and the typed Session API agree:
-   same stream, same knobs, same digest and stats *)
-let session_shim_agreement () =
-  let mk () = Cases.make "atomicity" ~traces:4 ~seed:9 ~max_events:2000 in
-  let w = mk () in
-  let net = Compile.compile (Parser.parse w.Workload.pattern) in
-  let run_with replay =
-    with_temp @@ fun tmp ->
-    record_to ~path:tmp (mk ());
-    let ic = open_in_bin tmp in
-    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-    let reader = Framing.create_reader ic in
-    let poet = Poet.create ~trace_names:(Framing.reader_trace_names reader) () in
-    let engine = Engine.create ~config:sequential_config ~net ~poet () in
-    Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
-    let st : Source.stats = replay ~engine reader in
-    (Runner.reports_digest engine, st.Source.admission.Admission.frames)
-  in
-  let new_digest, new_frames = run_with (fun ~engine r -> Session.replay ~engine r) in
-  let old_digest, old_frames =
-    run_with (fun ~engine r -> (Source.replay ~engine r [@warning "-3"]))
-  in
-  checks "shim digest agrees" new_digest old_digest;
-  checki "shim frame count agrees" new_frames old_frames
 
 (* Session's faults field reproduces the manual degrade-then-replay
    pipeline bit for bit *)
@@ -761,15 +733,11 @@ let () =
         ] );
       ( "equivalence",
         [
-          Alcotest.test_case "degraded replay sequential" `Quick
-            (degraded_replay_is_bit_identical ~config:sequential_config);
-          Alcotest.test_case "degraded replay parallel" `Quick
-            (degraded_replay_is_bit_identical ~config:parallel_config);
+          Alcotest.test_case "degraded replay sequential" `Quick degraded_replay_is_bit_identical;
           Alcotest.test_case "source replay pipelined" `Quick source_replay_pipelined;
         ] );
       ( "session",
         [
-          Alcotest.test_case "shim agrees with typed config" `Quick session_shim_agreement;
           Alcotest.test_case "faults equal manual degrade" `Quick session_faults_equal_manual;
         ] );
     ]

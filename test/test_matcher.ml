@@ -632,67 +632,6 @@ let pinned_matches_oracle =
           events;
         !ok)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel search (future work #3)                                    *)
-(* ------------------------------------------------------------------ *)
-
-let pool_basics () =
-  let pool = Ocep.Pool.create ~workers:3 in
-  let results = Ocep.Pool.run_all pool (Array.init 20 (fun i () -> i * i)) in
-  check "ordered results" true (results = Array.init 20 (fun i -> i * i));
-  (* exceptions propagate *)
-  (try
-     ignore (Ocep.Pool.run_all pool [| (fun () -> failwith "boom") |]);
-     Alcotest.fail "expected exception"
-   with Failure _ -> ());
-  (* pool still usable after a failing batch *)
-  let r2 = Ocep.Pool.run_all pool [| (fun () -> 7) |] in
-  check "usable after failure" true (r2 = [| 7 |]);
-  Ocep.Pool.shutdown pool;
-  Ocep.Pool.shutdown pool (* idempotent *)
-
-let par_agrees_with_sequential =
-  QCheck.Test.make ~name:"parallel search = sequential search (existence)" ~count:40
-    QCheck.small_int (fun seed ->
-      let pool = Ocep.Pool.create ~workers:4 in
-      let finally () = Ocep.Pool.shutdown pool in
-      Fun.protect ~finally (fun () ->
-          let prng = Prng.create (seed + 31337) in
-          let n_traces = 2 + Prng.int prng 2 in
-          let names = Array.init n_traces (fun i -> "P" ^ string_of_int i) in
-          let raws = Testutil.Gen.computation ~n_traces ~length:25 prng in
-          let poet, events = Testutil.ingest_all names raws in
-          let src = Testutil.Gen.pattern ~n_classes:2 prng in
-          match Compile.compile (Parser.parse src) with
-          | exception Compile.Compile_error _ -> true
-          | net ->
-            let history = history_of net ~n_traces events in
-            let inet = inet_of poet net in
-            List.for_all
-              (fun ev ->
-                List.for_all
-                  (fun leaf ->
-                    if not (Compile.leaf_matches net leaf ev) then true
-                    else begin
-                      let seq =
-                        Matcher.search ~net:inet ~history ~n_traces
-                          ~trace_of_sym:(Poet.trace_of_sym poet)
-                          ~partner_of:(Poet.find_partner poet) ~anchor_leaf:leaf ~anchor:ev ()
-                      in
-                      let par =
-                        Ocep.Par.search ~pool ~net:inet ~history ~n_traces
-                          ~trace_of_sym:(Poet.trace_of_sym poet)
-                          ~partner_of:(Poet.find_partner poet) ~anchor_leaf:leaf ~anchor:ev ()
-                      in
-                      match (seq, par) with
-                      | Matcher.Found m1, Matcher.Found m2 ->
-                        Oracle.is_match ~net ~events m1 && Oracle.is_match ~net ~events m2
-                      | Matcher.Not_found, Matcher.Not_found -> true
-                      | _ -> false
-                    end)
-                  (List.init (Compile.size net) (fun i -> i)))
-              events))
-
 let () =
   Alcotest.run "matcher"
     [
@@ -732,10 +671,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest matcher_agrees_with_oracle;
           QCheck_alcotest.to_alcotest pinned_matches_oracle;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "pool basics" `Quick pool_basics;
-          QCheck_alcotest.to_alcotest par_agrees_with_sequential;
         ] );
     ]

@@ -1,9 +1,10 @@
 (* The multi-pattern engine core: a registry engine with N patterns must
    be observably identical, per pattern, to N dedicated single-pattern
-   engines fed the same stream — across the four case workloads,
-   sequential and parallel, with and without pin filtering.  Plus the
-   registry lifecycle (add / remove / re-add, shared-class refcounting)
-   and the 62-leaf compile-time cap. *)
+   engines fed the same stream — across the four case workloads, with
+   and without pin filtering.  Plus the registry lifecycle (add /
+   remove / re-add, shared-class refcounting), the 62-leaf compile-time
+   cap, config validation, and the same observational equivalence for
+   history GC: collecting on every event changes nothing. *)
 
 open Ocep_base
 module Sim = Ocep_sim.Sim
@@ -59,10 +60,8 @@ let replay_single ~config ~names ~net raws =
 
 (* Stream each case workload through one engine holding all four case
    patterns, and through four dedicated engines; every per-pattern
-   observable must coincide — the dispatch table, shared history store
-   and combined pin batches are pure plumbing.  Exercised over the four
-   config quadrants {sequential, 4 workers} x {pin filtering on, off}
-   (cut-over thresholds zeroed so parallel runs really use the pool). *)
+   observable must coincide — the dispatch table and the shared history
+   store are pure plumbing.  Exercised with pin filtering on and off. *)
 let multi_equals_singles =
   QCheck.Test.make ~name:"multi-pattern engine = N single-pattern engines (4 workloads)"
     ~count:3 QCheck.small_int (fun seed ->
@@ -74,20 +73,10 @@ let multi_equals_singles =
           Cases.names
       in
       let configs =
-        List.concat_map
-          (fun parallelism ->
-            List.map
-              (fun pin_filtering ->
-                {
-                  Engine.default_config with
-                  Engine.parallelism;
-                  pin_filtering;
-                  cutover_batch = 0;
-                  cutover_work = 0;
-                  record_latency = false;
-                })
-              [ true; false ])
-          [ 1; 4 ]
+        List.map
+          (fun pin_filtering ->
+            { Engine.default_config with Engine.pin_filtering; record_latency = false })
+          [ true; false ]
       in
       List.for_all
         (fun case ->
@@ -108,9 +97,8 @@ let multi_equals_singles =
               in
               if multi <> singles then
                 QCheck.Test.fail_reportf
-                  "multi diverges from dedicated engines on %s (parallelism=%d, \
-                   pin_filtering=%b)"
-                  case config.Engine.parallelism config.Engine.pin_filtering
+                  "multi diverges from dedicated engines on %s (pin_filtering=%b)" case
+                  config.Engine.pin_filtering
               else true)
             configs)
         Cases.names)
@@ -329,6 +317,58 @@ let template_leaf_cap_enforced () =
     check "error names the binding" true (contains_sub msg "('x')");
     check "error names the cap" true (contains_sub msg (string_of_int Compile.max_leaves))
 
+(* ------------------------------------------------------------------ *)
+(* Engine config validation                                            *)
+(* ------------------------------------------------------------------ *)
+
+let rejects config =
+  let poet = Poet.create ~trace_names:names2 () in
+  match Engine.create ~config ~net:(net_of ab) ~poet () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let config_validation () =
+  let d = Engine.default_config in
+  check "gc_every = Some 0" true (rejects { d with Engine.gc_every = Some 0 });
+  check "gc_every negative" true (rejects { d with Engine.gc_every = Some (-3) });
+  check "node_budget = Some 0" true (rejects { d with Engine.node_budget = Some 0 });
+  check "max_history = Some 0" true (rejects { d with Engine.max_history_per_trace = Some 0 });
+  check "report_cap negative" true (rejects { d with Engine.report_cap = -1 });
+  check "default accepted" false (rejects d)
+
+(* ------------------------------------------------------------------ *)
+(* GC regression: gc never drops an event a later search needs         *)
+(* ------------------------------------------------------------------ *)
+
+(* Engine-wide observables after a single-pattern run: the per-pattern
+   state plus the terminating-arrival count. *)
+let run_observed ~config ~names ~net raws =
+  let poet = Poet.create ~trace_names:names () in
+  let engine = Engine.create ~config ~net ~poet () in
+  List.iter (fun r -> ignore (Poet.ingest poet r)) raws;
+  (observe (List.hd (Engine.handles engine)), Engine.terminating_arrivals engine)
+
+(* Aggressive GC (every event) must leave every observable of the run —
+   matches found, coverage, the report set — untouched, with the
+   production config (pruning on): whenever a later (anchored or
+   pinned) search would have needed a dropped event, some observable
+   diverges. Complements test_engine's oracle-coverage property, which
+   runs with pruning off. *)
+let gc_equals_no_gc =
+  QCheck.Test.make ~name:"gc on every event changes no observable (regression)" ~count:60
+    QCheck.small_int (fun seed ->
+      let prng = Prng.create (seed + 777) in
+      let n_traces = 2 + Prng.int prng 3 in
+      let names = Array.init n_traces (fun i -> "P" ^ string_of_int i) in
+      let raws = Testutil.Gen.computation ~n_traces ~length:(30 + Prng.int prng 30) prng in
+      let src = Testutil.Gen.pattern ~n_classes:(2 + Prng.int prng 2) prng in
+      match Compile.compile (Parser.parse src) with
+      | exception Compile.Compile_error _ -> true
+      | net ->
+        let cfg gc_every = { Engine.default_config with Engine.gc_every } in
+        run_observed ~config:(cfg None) ~names ~net raws
+        = run_observed ~config:(cfg (Some 1)) ~names ~net raws)
+
 let () =
   Alcotest.run "multi"
     [
@@ -347,4 +387,6 @@ let () =
           Alcotest.test_case "62-leaf boundary" `Quick leaf_cap_enforced;
           Alcotest.test_case "62-leaf boundary via template" `Quick template_leaf_cap_enforced;
         ] );
+      ("config", [ Alcotest.test_case "invalid configs rejected" `Quick config_validation ]);
+      ("gc", [ QCheck_alcotest.to_alcotest gc_equals_no_gc ]);
     ]

@@ -60,6 +60,38 @@ let subscription_order () =
     [ "A"; "B"; "C" ];
   check "in order" true (List.rev !got = [ "A"; "B"; "C" ])
 
+(* The engine dispatches from a flat subscription and boxes an event
+   with [materialize] only when it needs one, so that view must be what
+   a boxed client receives: inside a [subscribe_flat] callback,
+   [materialize] rebuilds field by field the event a [subscribe] client
+   gets for the same ingest — internal, send and receive events alike. *)
+let materialize_equals_boxed =
+  QCheck.Test.make ~name:"flat materialize = boxed subscriber event" ~count:100
+    QCheck.small_int (fun seed ->
+      let prng = Prng.create (seed + 4711) in
+      let n_traces = 2 + Prng.int prng 4 in
+      let raws = Testutil.Gen.computation ~n_traces ~length:60 prng in
+      let poet = Poet.create ~trace_names:(names n_traces) () in
+      let flat = ref [] and boxed = ref [] in
+      Poet.subscribe_flat poet (fun eid -> flat := Poet.materialize poet eid :: !flat);
+      Poet.subscribe poet (fun ev -> boxed := ev :: !boxed);
+      List.iter (fun r -> ignore (Poet.ingest poet r)) raws;
+      let same (a : Event.t) (b : Event.t) =
+        a.trace = b.trace && a.index = b.index && a.etype = b.etype && a.text = b.text
+        && a.tsym = b.tsym && a.esym = b.esym && a.xsym = b.xsym && a.kind = b.kind
+        && Vclock.to_array a.vc = Vclock.to_array b.vc
+      in
+      if List.length !flat <> List.length raws || List.length !boxed <> List.length raws then
+        QCheck.Test.fail_reportf "%d flat, %d boxed callbacks for %d events" (List.length !flat)
+          (List.length !boxed) (List.length raws);
+      List.iter2
+        (fun a b ->
+          if not (same a b) then
+            QCheck.Test.fail_reportf "materialized %a %a <> boxed %a %a" Event.pp a Vclock.pp
+              a.vc Event.pp b Vclock.pp b.vc)
+        (List.rev !flat) (List.rev !boxed);
+      true)
+
 let partner_lookup () =
   let b = Build.create (names 2) in
   let s, r = Build.message b ~src:0 ~dst:1 in
@@ -291,6 +323,7 @@ let () =
           Alcotest.test_case "subscription order" `Quick subscription_order;
           Alcotest.test_case "partner lookup" `Quick partner_lookup;
           Alcotest.test_case "retain required" `Quick retain_required;
+          QCheck_alcotest.to_alcotest materialize_equals_boxed;
         ] );
       ( "dump",
         [
