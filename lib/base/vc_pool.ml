@@ -1,11 +1,11 @@
-(* Interval-compressed vector clocks over a chunked backing pool.
+(* Vector clocks over a chunked off-heap pool.
 
    Two stores cooperate:
 
    - [cur] holds the *live* clock of every trace as a dense row of a
      single [dim * dim] array, mutated in place: a tick is one store, a
-     merge is O(runs) of the incoming snapshot. Nothing on the tick
-     path allocates on the OCaml heap.
+     merge one pass over the incoming snapshot. Nothing on the tick path
+     allocates on the OCaml heap.
 
    - the chunk list (off-heap Bigarrays) holds *immutable snapshots*:
      the timestamp a send leaves behind for its receive, and the
@@ -16,58 +16,25 @@
 
    Storage is a sequence of fixed-size chunks rather than one doubling
    buffer: growth appends a fresh chunk, so no snapshot is ever copied
-   (the doubling scheme re-blits the entire pool O(log n) times — a
-   measurable share of the ingest budget on snapshot-heavy streams)
-   and handles stay valid without synchronization concerns. A snapshot
-   always lies inside one chunk; the encoder pads to the next chunk
-   boundary when the worst-case encoding would straddle (bounded waste:
-   at most one max-size snapshot per chunk).
+   and handles stay valid. A snapshot always lies inside one chunk; when
+   the next one does not fit in the active chunk's tail, that tail stays
+   unused (less than one snapshot per chunk).
 
-   Snapshot encoding at offset [h]:
+   Snapshot format at offset [h]: a header word [s] naming the lane
+   width, then the row packed [2^s] entries per word in lanes of
+   [63 lsr s] bits, entry [i] in lane [i land (2^s - 1)] of word
+   [i lsr s], low lanes first:
 
-     chunk.{h'} = r >= 0   r interval runs follow, 3 words each:
-                           (lo, hi, v) — traces lo..hi all carry value
-                           v. Runs are sorted, disjoint, maximal;
-                           traces not covered by any run are 0.
-     chunk.{h'} = -1       dense fallback: dim values follow.
-     chunk.{h'} = -2       packed dense fallback: ceil(dim/2) words,
-                           word w = entry 2w in the low 32 bits, entry
-                           2w+1 in the high 31. Written instead of -1
-                           while every value in the pool fits 31 bits
-                           (they all originate from ticks, so one flag
-                           checked at tick time guards the whole pool);
-                           halves the pool traffic of dense-heavy
-                           streams, which is exactly the memory-bound
-                           case.
-     chunk.{h'} = -3       quad-packed dense fallback: ceil(dim/4)
-                           words, word w = entries 4w..4w+3 in 15-bit
-                           lanes, low to high (4 x 15 = 60 bits, the
-                           widest uniform lane that fits OCaml's
-                           63-bit boxed-free int). Written instead of
-                           -2 while every value in the pool fits 15
-                           bits (guarded by the same tick-time
-                           argument); halves the traffic again, and a
-                           clock entry outgrows 15 bits only after
-                           32768 events on one trace, so bench- and
-                           typical deployment-length streams never
-                           leave this tier.
+     s = 2   15-bit lanes, 4 per word   1 + ceil(dim/4) words
+     s = 1   31-bit lanes, 2 per word   1 + ceil(dim/2) words
+     s = 0   63-bit lanes, 1 per word   1 + dim words
 
-   The run form exists because the paper's pruning rule (Section V)
-   already tells us event streams are dominated by trace-consecutive
-   same-shape activity: a clock typically knows a handful of distinct
-   values (its own trace plus its recent peers) padded by zeros or by
-   a shared older value, so a few (lo, hi, v) ranges cover the whole
-   vector. Past [max_runs] ranges the dense row is smaller, so the
-   encoder falls back.
-
-   Workloads where every trace talks to every trace defeat the run
-   form: almost every snapshot overflows into the dense fallback, and
-   the failed run-building pass is pure overhead. [snapshot] therefore
-   keeps a per-trace hint: after a fallback it encodes that trace's
-   next snapshot dense-first (counting would-be runs in the same pass),
-   and returns to run-first as soon as a snapshot would have
-   compressed. Either way the bytes written are identical to the
-   hint-free encoder's. *)
+   Every value in the pool originates from a tick, so the tick is the
+   one place that checks whether it still fits the pool's lane width;
+   the first tick that does not lowers [s], widening the lanes of every
+   later snapshot, while earlier snapshots keep their own header and
+   stay readable. A
+   clock entry outgrows 15 bits only after 32768 events on one trace. *)
 
 open Bigarray
 
@@ -80,74 +47,37 @@ let chunk_size = 1 lsl chunk_bits
 
 let chunk_mask = chunk_size - 1
 
+(* largest value a lane of header [s] holds *)
+let lane_max = [| max_int; (1 lsl 31) - 1; (1 lsl 15) - 1 |]
+
 type t = {
   dim : int;
-  max_runs : int;  (* encoder falls back to dense above this *)
   cur : int array;  (* dim*dim, row-major: live clock of each trace *)
-  scratch : int array;  (* dim, decode target for handle-level ops *)
-  runbuf : int array;  (* 3*dim + 3, run builder for handle-level merge *)
-  snap_max : int;  (* worst-case words of one snapshot *)
-  hint_dense : Bytes.t;  (* per trace: last snapshot fell back to dense *)
-  hint_skip : Bytes.t;
-      (* per trace: dense-hinted snapshots left before the encoder
-         re-counts the row's runs. Counting exists only to drop the
-         hint when a clock re-compresses, so the steady state of a
-         busy trace amortizes it over [skip_interval] snapshots and
-         writes the dense form with no per-entry comparisons. *)
+  mutable shift : int;  (* header [s] of the next snapshot *)
   mutable chunks : buf array;
   mutable nchunks : int;  (* chunks in use; chunks.(nchunks-1) is active *)
   mutable len : int;  (* bump pointer: global word offset *)
-  mutable big_vals : bool;
-      (* some live value no longer fits 31 bits, so dense snapshots
-         must use the unpacked form. Every value in the pool originates
-         from a tick, so the tick is the one place that needs to
-         check. *)
-  mutable wide_vals : bool;
-      (* some live value no longer fits 15 bits, so dense snapshots
-         must use at least the 32-bit packed form; same tick-time
-         guard. *)
+  mutable words : int;  (* words written by snapshots *)
 }
 
 let nil = -1
 
-(* dense-hinted snapshots between run re-counts (see [hint_skip]) *)
-let skip_interval = '\015'
-
 let mkchunk () = Array1.create int c_layout chunk_size
 
-let create ?max_runs ~dim () =
+let create ~dim =
   if dim < 0 then invalid_arg "Vc_pool.create: negative dimension";
-  let max_runs =
-    match max_runs with
-    | Some r ->
-      if r < 1 then invalid_arg "Vc_pool.create: max_runs must be positive";
-      r
-    | None -> max 4 ((dim + 2) / 3)
-  in
-  let snap_max = 1 + max (3 * (max_runs + 1)) dim in
-  if snap_max > chunk_size then invalid_arg "Vc_pool.create: dimension exceeds chunk capacity";
+  if 1 + dim > chunk_size then invalid_arg "Vc_pool.create: dimension exceeds chunk capacity";
   {
     dim;
-    max_runs;
     cur = Array.make (max 1 (dim * dim)) 0;
-    scratch = Array.make (max 1 dim) 0;
-    runbuf = Array.make ((3 * (dim + 1)) + 3) 0;
-    snap_max;
-    hint_dense = Bytes.make (max 1 dim) '\000';
-    hint_skip = Bytes.make (max 1 dim) '\000';
+    shift = 2;
     chunks = [| mkchunk () |];
     nchunks = 1;
     len = 0;
-    big_vals = false;
-    wide_vals = false;
+    words = 0;
   }
 
-let dim t = t.dim
-
-let words t = t.len
-
-(* chunk holding handle [h] (reads never cross a chunk boundary) *)
-let chunk_of t h = Array.unsafe_get t.chunks (h lsr chunk_bits)
+let words t = t.words
 
 (* ------------------------------------------------------------------ *)
 (* Live rows                                                           *)
@@ -155,32 +85,27 @@ let chunk_of t h = Array.unsafe_get t.chunks (h lsr chunk_bits)
 
 let get t ~trace ~entry = Array.unsafe_get t.cur ((trace * t.dim) + entry)
 
-let packed_lim = 1 lsl 31
-
-let narrow_lim = 1 lsl 15
-
+(* A tick raises one value by one, so the first value too wide for the
+   pool's lanes fits the next width: one step of [shift] suffices. No
+   value exceeds [lane_max.(0)], so 63-bit lanes never step. *)
 let tick t ~trace =
   let i = (trace * t.dim) + trace in
   let v = Array.unsafe_get t.cur i + 1 in
   Array.unsafe_set t.cur i v;
-  if v >= narrow_lim then begin
-    t.wide_vals <- true;
-    if v >= packed_lim then t.big_vals <- true
-  end;
+  if v > Array.unsafe_get lane_max t.shift then t.shift <- t.shift - 1;
   v
 
-let current_to_array t ~trace =
-  Array.sub t.cur (trace * t.dim) t.dim
+let current_to_array t ~trace = Array.sub t.cur (trace * t.dim) t.dim
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Make room for one worst-case snapshot at the bump pointer: pad to
-   the next chunk boundary if it could straddle, appending a fresh
-   chunk when needed. Existing chunks are never copied. *)
-let reserve t =
-  if (t.len land chunk_mask) + t.snap_max > chunk_size then
+(* Make room for [n] words at the bump pointer: skip to the next chunk
+   if they would straddle, appending a fresh chunk when needed. Existing
+   chunks are never copied. *)
+let reserve t n =
+  if (t.len land chunk_mask) + n > chunk_size then
     t.len <- ((t.len lsr chunk_bits) + 1) lsl chunk_bits;
   let ci = t.len lsr chunk_bits in
   if ci >= t.nchunks then begin
@@ -193,715 +118,53 @@ let reserve t =
     t.nchunks <- ci + 1
   end
 
-(* Encode [read : int -> int] (length dim) at the bump pointer. One
-   pass builds runs; if the run count passes [max_runs] the encoder
-   restarts in dense form at the same offset. *)
-let encode_with t read =
-  reserve t;
+(* chunk holding handle [h] *)
+let chunk_of t h = Array.unsafe_get t.chunks (h lsr chunk_bits)
+
+let snapshot t ~trace =
+  let s = t.shift in
+  let n = 1 + ((t.dim + (1 lsl s) - 1) lsr s) in
+  reserve t n;
   let h = t.len in
-  let buf = chunk_of t h in
-  let o = h land chunk_mask in
-  let dim = t.dim in
-  let runs = ref 0 in
-  let pos = ref (o + 1) in
-  let overflow = ref false in
-  let i = ref 0 in
-  while (not !overflow) && !i < dim do
-    let v = read !i in
-    if v = 0 then incr i
-    else begin
-      let lo = !i in
-      let j = ref (lo + 1) in
-      while !j < dim && read !j = v do
-        incr j
-      done;
-      if !runs >= t.max_runs then overflow := true
-      else begin
-        Array1.unsafe_set buf !pos lo;
-        Array1.unsafe_set buf (!pos + 1) (!j - 1);
-        Array1.unsafe_set buf (!pos + 2) v;
-        pos := !pos + 3;
-        incr runs;
-        i := !j
-      end
-    end
+  let buf = chunk_of t h and o = (h land chunk_mask) + 1 in
+  Array1.unsafe_set buf (o - 1) s;
+  let width = 63 lsr s and last = (1 lsl s) - 1 in
+  let base = trace * t.dim in
+  let w = ref 0 in
+  for i = 0 to t.dim - 1 do
+    let lane = i land last in
+    let v = Array.unsafe_get t.cur (base + i) lsl (width * lane) in
+    w := if lane = 0 then v else !w lor v;
+    Array1.unsafe_set buf (o + (i lsr s)) !w
   done;
-  if !overflow then begin
-    Array1.unsafe_set buf o (-1);
-    for k = 0 to dim - 1 do
-      Array1.unsafe_set buf (o + 1 + k) (read k)
-    done;
-    t.len <- h + 1 + dim
-  end
-  else begin
-    Array1.unsafe_set buf o !runs;
-    t.len <- h + 1 + (3 * !runs)
-  end;
+  t.len <- h + n;
+  t.words <- t.words + n;
   h
 
-(* Dense writers for a live row at offset [o] (header word written by
-   the caller). Top-level and fully applied, so no call allocates; the
-   [_count] variants additionally return the number of interval runs
-   the row would have needed, which is what lets the encoder drop the
-   dense hint once a clock re-compresses. *)
-
-let copy16 cur base buf o dim =
-  let quarter = dim lsr 2 in
-  for w = 0 to quarter - 1 do
-    let i = base + (4 * w) in
-    Array1.unsafe_set buf (o + 1 + w)
-      (Array.unsafe_get cur i
-      lor (Array.unsafe_get cur (i + 1) lsl 15)
-      lor (Array.unsafe_get cur (i + 2) lsl 30)
-      lor (Array.unsafe_get cur (i + 3) lsl 45))
-  done;
-  let rem = dim land 3 in
-  if rem > 0 then begin
-    let i = base + (4 * quarter) in
-    let x = ref (Array.unsafe_get cur i) in
-    if rem > 1 then x := !x lor (Array.unsafe_get cur (i + 1) lsl 15);
-    if rem > 2 then x := !x lor (Array.unsafe_get cur (i + 2) lsl 30);
-    Array1.unsafe_set buf (o + 1 + quarter) !x
-  end
-
-let copy16_count cur base buf o dim =
-  let runs = ref 0 in
-  let prev = ref 0 in
-  let quarter = dim lsr 2 in
-  for w = 0 to quarter - 1 do
-    let i = base + (4 * w) in
-    let v0 = Array.unsafe_get cur i in
-    let v1 = Array.unsafe_get cur (i + 1) in
-    let v2 = Array.unsafe_get cur (i + 2) in
-    let v3 = Array.unsafe_get cur (i + 3) in
-    Array1.unsafe_set buf (o + 1 + w)
-      (v0 lor (v1 lsl 15) lor (v2 lsl 30) lor (v3 lsl 45));
-    if v0 <> 0 && v0 <> !prev then incr runs;
-    if v1 <> 0 && v1 <> v0 then incr runs;
-    if v2 <> 0 && v2 <> v1 then incr runs;
-    if v3 <> 0 && v3 <> v2 then incr runs;
-    prev := v3
-  done;
-  let rem = dim land 3 in
-  if rem > 0 then begin
-    let i = base + (4 * quarter) in
-    let v0 = Array.unsafe_get cur i in
-    let x = ref v0 in
-    if v0 <> 0 && v0 <> !prev then incr runs;
-    prev := v0;
-    if rem > 1 then begin
-      let v1 = Array.unsafe_get cur (i + 1) in
-      x := !x lor (v1 lsl 15);
-      if v1 <> 0 && v1 <> !prev then incr runs;
-      prev := v1
-    end;
-    if rem > 2 then begin
-      let v2 = Array.unsafe_get cur (i + 2) in
-      x := !x lor (v2 lsl 30);
-      if v2 <> 0 && v2 <> !prev then incr runs;
-      prev := v2
-    end;
-    Array1.unsafe_set buf (o + 1 + quarter) !x
-  end;
-  !runs
-
-let copy32 cur base buf o dim =
-  let half = dim lsr 1 in
-  for w = 0 to half - 1 do
-    Array1.unsafe_set buf (o + 1 + w)
-      (Array.unsafe_get cur (base + (2 * w))
-      lor (Array.unsafe_get cur (base + (2 * w) + 1) lsl 32))
-  done;
-  if dim land 1 = 1 then
-    Array1.unsafe_set buf (o + 1 + half) (Array.unsafe_get cur (base + dim - 1))
-
-let copy32_count cur base buf o dim =
-  let runs = ref 0 in
-  let prev = ref 0 in
-  let half = dim lsr 1 in
-  for w = 0 to half - 1 do
-    let v0 = Array.unsafe_get cur (base + (2 * w)) in
-    let v1 = Array.unsafe_get cur (base + (2 * w) + 1) in
-    Array1.unsafe_set buf (o + 1 + w) (v0 lor (v1 lsl 32));
-    if v0 <> 0 && v0 <> !prev then incr runs;
-    if v1 <> 0 && v1 <> v0 then incr runs;
-    prev := v1
-  done;
-  if dim land 1 = 1 then begin
-    let v = Array.unsafe_get cur (base + dim - 1) in
-    Array1.unsafe_set buf (o + 1 + half) v;
-    if v <> 0 && v <> !prev then incr runs
-  end;
-  !runs
-
-let copy64_count cur base buf o dim =
-  let runs = ref 0 in
-  let prev = ref 0 in
-  for i = 0 to dim - 1 do
-    let v = Array.unsafe_get cur (base + i) in
-    Array1.unsafe_set buf (o + 1 + i) v;
-    if v <> 0 && v <> !prev then incr runs;
-    prev := v
-  done;
-  !runs
-
-(* [encode_with] specialized to a live row — the one snapshot per
-   communication event of the ingest path. No closure (the generic
-   encoder's [read] argument would be that path's only OCaml-heap
-   allocation), and dense-hinted: when this trace's previous snapshot
-   overflowed, encode dense in a single pass, counting the runs the
-   row would have needed so the hint can be dropped again. *)
-let snapshot t ~trace =
-  let base = trace * t.dim in
-  let cur = t.cur in
-  reserve t;
-  let h = t.len in
-  let buf = chunk_of t h in
-  let o = h land chunk_mask in
-  let dim = t.dim in
-  if Bytes.unsafe_get t.hint_dense trace = '\001' then begin
-    let skip = Char.code (Bytes.unsafe_get t.hint_skip trace) in
-    if skip > 0 && not t.big_vals then begin
-      (* steady state: pure packed copy, run re-count amortized away *)
-      Bytes.unsafe_set t.hint_skip trace (Char.unsafe_chr (skip - 1));
-      if not t.wide_vals then begin
-        Array1.unsafe_set buf o (-3);
-        copy16 cur base buf o dim;
-        t.len <- h + 1 + ((dim + 3) lsr 2)
-      end
-      else begin
-        Array1.unsafe_set buf o (-2);
-        copy32 cur base buf o dim;
-        t.len <- h + 1 + ((dim + 1) lsr 1)
-      end;
-      h
-    end
-    else begin
-      let runs =
-        if t.big_vals then begin
-          Array1.unsafe_set buf o (-1);
-          t.len <- h + 1 + dim;
-          copy64_count cur base buf o dim
-        end
-        else if t.wide_vals then begin
-          Array1.unsafe_set buf o (-2);
-          t.len <- h + 1 + ((dim + 1) lsr 1);
-          copy32_count cur base buf o dim
-        end
-        else begin
-          Array1.unsafe_set buf o (-3);
-          t.len <- h + 1 + ((dim + 3) lsr 2);
-          copy16_count cur base buf o dim
-        end
-      in
-      if runs <= t.max_runs then Bytes.unsafe_set t.hint_dense trace '\000'
-      else Bytes.unsafe_set t.hint_skip trace skip_interval;
-      h
-    end
-  end
-  else begin
-    let runs = ref 0 in
-    let pos = ref (o + 1) in
-    let overflow = ref false in
-    let i = ref 0 in
-    while (not !overflow) && !i < dim do
-      let v = Array.unsafe_get cur (base + !i) in
-      if v = 0 then incr i
-      else begin
-        let lo = !i in
-        let j = ref (lo + 1) in
-        while !j < dim && Array.unsafe_get cur (base + !j) = v do
-          incr j
-        done;
-        if !runs >= t.max_runs then overflow := true
-        else begin
-          Array1.unsafe_set buf !pos lo;
-          Array1.unsafe_set buf (!pos + 1) (!j - 1);
-          Array1.unsafe_set buf (!pos + 2) v;
-          pos := !pos + 3;
-          incr runs;
-          i := !j
-        end
-      end
-    done;
-    if !overflow then begin
-      Bytes.unsafe_set t.hint_dense trace '\001';
-      Bytes.unsafe_set t.hint_skip trace skip_interval;
-      if t.big_vals then begin
-        Array1.unsafe_set buf o (-1);
-        for k = 0 to dim - 1 do
-          Array1.unsafe_set buf (o + 1 + k) (Array.unsafe_get cur (base + k))
-        done;
-        t.len <- h + 1 + dim
-      end
-      else if t.wide_vals then begin
-        Array1.unsafe_set buf o (-2);
-        copy32 cur base buf o dim;
-        t.len <- h + 1 + ((dim + 1) lsr 1)
-      end
-      else begin
-        Array1.unsafe_set buf o (-3);
-        copy16 cur base buf o dim;
-        t.len <- h + 1 + ((dim + 3) lsr 2)
-      end
-    end
-    else begin
-      Array1.unsafe_set buf o !runs;
-      t.len <- h + 1 + (3 * !runs)
-    end;
-    h
-  end
-
-let encode t v =
-  if Array.length v <> t.dim then invalid_arg "Vc_pool.encode: dimension mismatch";
-  encode_with t (fun i -> Array.unsafe_get v i)
-
-let is_dense t h = Array1.get (chunk_of t h) (h land chunk_mask) < 0
-
-let read t h ~entry =
-  let buf = chunk_of t h in
-  let o = h land chunk_mask in
-  let r = Array1.get buf o in
-  if r = -1 then Array1.get buf (o + 1 + entry)
-  else if r = -2 then begin
-    let w = Array1.get buf (o + 1 + (entry lsr 1)) in
-    if entry land 1 = 0 then w land 0xFFFF_FFFF else w lsr 32
-  end
-  else if r < 0 then
-    Array1.get buf (o + 1 + (entry lsr 2)) lsr (15 * (entry land 3)) land 0x7FFF
-  else begin
-    let v = ref 0 in
-    (try
-       for k = 0 to r - 1 do
-         let p = o + 1 + (3 * k) in
-         let lo = Array1.unsafe_get buf p in
-         if entry < lo then raise Exit;
-         if entry <= Array1.unsafe_get buf (p + 1) then begin
-           v := Array1.unsafe_get buf (p + 2);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !v
-  end
-
-let decode_into t h dst =
-  let buf = chunk_of t h in
-  let o = h land chunk_mask in
-  let r = Array1.get buf o in
-  if r = -1 then
-    for i = 0 to t.dim - 1 do
-      Array.unsafe_set dst i (Array1.unsafe_get buf (o + 1 + i))
-    done
-  else if r = -2 then begin
-    let dim = t.dim in
-    let half = dim lsr 1 in
-    for w = 0 to half - 1 do
-      let x = Array1.unsafe_get buf (o + 1 + w) in
-      Array.unsafe_set dst (2 * w) (x land 0xFFFF_FFFF);
-      Array.unsafe_set dst ((2 * w) + 1) (x lsr 32)
-    done;
-    if dim land 1 = 1 then
-      Array.unsafe_set dst (dim - 1) (Array1.unsafe_get buf (o + 1 + half) land 0xFFFF_FFFF)
-  end
-  else if r < 0 then begin
-    let dim = t.dim in
-    for i = 0 to dim - 1 do
-      Array.unsafe_set dst i
-        (Array1.unsafe_get buf (o + 1 + (i lsr 2)) lsr (15 * (i land 3)) land 0x7FFF)
-    done
-  end
-  else begin
-    Array.fill dst 0 t.dim 0;
-    for k = 0 to r - 1 do
-      let p = o + 1 + (3 * k) in
-      let hi = Array1.unsafe_get buf (p + 1) in
-      let v = Array1.unsafe_get buf (p + 2) in
-      for i = Array1.unsafe_get buf p to hi do
-        Array.unsafe_set dst i v
-      done
-    done
-  end
+(* Both readers walk the row in entry order: the first lane of each word
+   loads it, later lanes shift the previous entry out. *)
 
 let to_array t h =
+  let buf = chunk_of t h and o = (h land chunk_mask) + 1 in
+  let s = Array1.unsafe_get buf (o - 1) in
+  let width = 63 lsr s and last = (1 lsl s) - 1 and mask = Array.unsafe_get lane_max s in
   let a = Array.make t.dim 0 in
-  decode_into t h a;
+  let x = ref 0 in
+  for i = 0 to t.dim - 1 do
+    x := if i land last = 0 then Array1.unsafe_get buf (o + (i lsr s)) else !x lsr width;
+    Array.unsafe_set a i (!x land mask)
+  done;
   a
 
-(* Pointwise max of a snapshot into a live row: O(runs) loads, and only
-   the covered entries are touched (uncovered entries are 0 and never
-   raise a max). *)
+(* Pointwise max of a snapshot into a live row. *)
 let merge_into t ~trace h =
-  let buf = chunk_of t h in
-  let o = h land chunk_mask in
-  let cur = t.cur in
+  let buf = chunk_of t h and o = (h land chunk_mask) + 1 in
+  let s = Array1.unsafe_get buf (o - 1) in
+  let width = 63 lsr s and last = (1 lsl s) - 1 and mask = Array.unsafe_get lane_max s in
   let base = trace * t.dim in
-  let r = Array1.get buf o in
-  if r = -1 then
-    for i = 0 to t.dim - 1 do
-      let v = Array1.unsafe_get buf (o + 1 + i) in
-      if v > Array.unsafe_get cur (base + i) then Array.unsafe_set cur (base + i) v
-    done
-  else if r = -2 then begin
-    let dim = t.dim in
-    let half = dim lsr 1 in
-    for w = 0 to half - 1 do
-      let x = Array1.unsafe_get buf (o + 1 + w) in
-      let v0 = x land 0xFFFF_FFFF in
-      let v1 = x lsr 32 in
-      let i = base + (2 * w) in
-      if v0 > Array.unsafe_get cur i then Array.unsafe_set cur i v0;
-      if v1 > Array.unsafe_get cur (i + 1) then Array.unsafe_set cur (i + 1) v1
-    done;
-    if dim land 1 = 1 then begin
-      let v = Array1.unsafe_get buf (o + 1 + half) land 0xFFFF_FFFF in
-      let i = base + dim - 1 in
-      if v > Array.unsafe_get cur i then Array.unsafe_set cur i v
-    end
-  end
-  else if r < 0 then begin
-    let dim = t.dim in
-    for i = 0 to dim - 1 do
-      let v = Array1.unsafe_get buf (o + 1 + (i lsr 2)) lsr (15 * (i land 3)) land 0x7FFF in
-      if v > Array.unsafe_get cur (base + i) then Array.unsafe_set cur (base + i) v
-    done
-  end
-  else
-    for k = 0 to r - 1 do
-      let p = o + 1 + (3 * k) in
-      let hi = Array1.unsafe_get buf (p + 1) in
-      let v = Array1.unsafe_get buf (p + 2) in
-      for i = Array1.unsafe_get buf p to hi do
-        if v > Array.unsafe_get cur (base + i) then Array.unsafe_set cur (base + i) v
-      done
-    done
-
-(* The receive-side composite — merge the sender's snapshot [h] into
-   [trace]'s row, tick the own entry, persist the result — observably
-   identical to [merge_into]; [tick]; [snapshot], but fused into ONE
-   row pass when both sides are in the packed-dense regime (the
-   all-to-all steady state, where a receive would otherwise scan the
-   row three times). The own entry can be ticked up front because the
-   sender's knowledge of [trace] never exceeds the live row. *)
-let recv_update t ~trace h =
-  let own = Array.unsafe_get t.cur ((trace * t.dim) + trace) + 1 in
-  let sbuf = chunk_of t h in
-  let so = h land chunk_mask in
-  let s_hdr = Array1.get sbuf so in
-  (* the fused forms require the dense steady state (hint set AND runs
-     amortized away): the every-[skip_interval]-th re-count and every
-     tier transition take the three-call composition instead, whose
-     [snapshot] does the hint bookkeeping *)
-  let skip =
-    if Bytes.unsafe_get t.hint_dense trace = '\001' then
-      Char.code (Bytes.unsafe_get t.hint_skip trace)
-    else 0
-  in
-  if skip > 0 && s_hdr = -3 && (not t.wide_vals) && own < narrow_lim then begin
-    Bytes.unsafe_set t.hint_skip trace (Char.unsafe_chr (skip - 1));
-    let dim = t.dim in
-    let base = trace * dim in
-    let cur = t.cur in
-    Array.unsafe_set cur (base + trace) own;
-    reserve t;
-    let hh = t.len in
-    let buf = chunk_of t hh in
-    let o = hh land chunk_mask in
-    Array1.unsafe_set buf o (-3);
-    let quarter = dim lsr 2 in
-    for w = 0 to quarter - 1 do
-      let x = Array1.unsafe_get sbuf (so + 1 + w) in
-      let i = base + (4 * w) in
-      let s0 = x land 0x7FFF in
-      let c0 = Array.unsafe_get cur i in
-      let v0 =
-        if s0 > c0 then begin
-          Array.unsafe_set cur i s0;
-          s0
-        end
-        else c0
-      in
-      let s1 = x lsr 15 land 0x7FFF in
-      let c1 = Array.unsafe_get cur (i + 1) in
-      let v1 =
-        if s1 > c1 then begin
-          Array.unsafe_set cur (i + 1) s1;
-          s1
-        end
-        else c1
-      in
-      let s2 = x lsr 30 land 0x7FFF in
-      let c2 = Array.unsafe_get cur (i + 2) in
-      let v2 =
-        if s2 > c2 then begin
-          Array.unsafe_set cur (i + 2) s2;
-          s2
-        end
-        else c2
-      in
-      let s3 = x lsr 45 land 0x7FFF in
-      let c3 = Array.unsafe_get cur (i + 3) in
-      let v3 =
-        if s3 > c3 then begin
-          Array.unsafe_set cur (i + 3) s3;
-          s3
-        end
-        else c3
-      in
-      Array1.unsafe_set buf (o + 1 + w) (v0 lor (v1 lsl 15) lor (v2 lsl 30) lor (v3 lsl 45))
-    done;
-    let rem = dim land 3 in
-    if rem > 0 then begin
-      let x = Array1.unsafe_get sbuf (so + 1 + quarter) in
-      let i = base + (4 * quarter) in
-      let s0 = x land 0x7FFF in
-      let c0 = Array.unsafe_get cur i in
-      let v0 =
-        if s0 > c0 then begin
-          Array.unsafe_set cur i s0;
-          s0
-        end
-        else c0
-      in
-      let y = ref v0 in
-      if rem > 1 then begin
-        let s1 = x lsr 15 land 0x7FFF in
-        let c1 = Array.unsafe_get cur (i + 1) in
-        let v1 =
-          if s1 > c1 then begin
-            Array.unsafe_set cur (i + 1) s1;
-            s1
-          end
-          else c1
-        in
-        y := !y lor (v1 lsl 15)
-      end;
-      if rem > 2 then begin
-        let s2 = x lsr 30 land 0x7FFF in
-        let c2 = Array.unsafe_get cur (i + 2) in
-        let v2 =
-          if s2 > c2 then begin
-            Array.unsafe_set cur (i + 2) s2;
-            s2
-          end
-          else c2
-        in
-        y := !y lor (v2 lsl 30)
-      end;
-      Array1.unsafe_set buf (o + 1 + quarter) !y
-    end;
-    t.len <- hh + 1 + ((dim + 3) lsr 2);
-    hh
-  end
-  else if skip > 0 && s_hdr = -2 && (not t.big_vals) && own < packed_lim then begin
-    Bytes.unsafe_set t.hint_skip trace (Char.unsafe_chr (skip - 1));
-    let dim = t.dim in
-    let base = trace * dim in
-    let cur = t.cur in
-    Array.unsafe_set cur (base + trace) own;
-    reserve t;
-    let hh = t.len in
-    let buf = chunk_of t hh in
-    let o = hh land chunk_mask in
-    Array1.unsafe_set buf o (-2);
-    let half = dim lsr 1 in
-    for w = 0 to half - 1 do
-      let x = Array1.unsafe_get sbuf (so + 1 + w) in
-      let i = base + (2 * w) in
-      let s0 = x land 0xFFFF_FFFF in
-      let c0 = Array.unsafe_get cur i in
-      let v0 =
-        if s0 > c0 then begin
-          Array.unsafe_set cur i s0;
-          s0
-        end
-        else c0
-      in
-      let s1 = x lsr 32 in
-      let c1 = Array.unsafe_get cur (i + 1) in
-      let v1 =
-        if s1 > c1 then begin
-          Array.unsafe_set cur (i + 1) s1;
-          s1
-        end
-        else c1
-      in
-      Array1.unsafe_set buf (o + 1 + w) (v0 lor (v1 lsl 32))
-    done;
-    if dim land 1 = 1 then begin
-      let i = base + dim - 1 in
-      let s = Array1.unsafe_get sbuf (so + 1 + half) land 0xFFFF_FFFF in
-      let c = Array.unsafe_get cur i in
-      let v =
-        if s > c then begin
-          Array.unsafe_set cur i s;
-          s
-        end
-        else c
-      in
-      Array1.unsafe_set buf (o + 1 + half) v
-    end;
-    t.len <- hh + 1 + ((dim + 1) lsr 1);
-    hh
-  end
-  else begin
-    merge_into t ~trace h;
-    ignore (tick t ~trace : int);
-    snapshot t ~trace
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Handle-level operations (segment sweeps)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A segment cursor yields maximal constant (lo, hi, v) segments of a
-   snapshot in position order, materializing the implicit zero gaps of
-   the run form; a dense snapshot yields its equal-value runs. Both
-   [leq] and [merge] are a single simultaneous sweep: O(ra + rb)
-   segment steps for two run-form snapshots. *)
-
-(* segment containing position [pos]: returns (hi, v) *)
-let seg_at t h pos =
-  let buf = chunk_of t h in
-  let o = h land chunk_mask in
-  let r = Array1.get buf o in
-  if r = -1 then begin
-    (* dense: extend the current equal-value run *)
-    let v = Array1.unsafe_get buf (o + 1 + pos) in
-    let j = ref (pos + 1) in
-    while !j < t.dim && Array1.unsafe_get buf (o + 1 + !j) = v do
-      incr j
-    done;
-    (!j - 1, v)
-  end
-  else if r = -2 then begin
-    (* packed dense: same extension, through the pair decoding *)
-    let dval i =
-      let w = Array1.unsafe_get buf (o + 1 + (i lsr 1)) in
-      if i land 1 = 0 then w land 0xFFFF_FFFF else w lsr 32
-    in
-    let v = dval pos in
-    let j = ref (pos + 1) in
-    while !j < t.dim && dval !j = v do
-      incr j
-    done;
-    (!j - 1, v)
-  end
-  else if r < 0 then begin
-    (* quad-packed dense: same extension, through the lane decoding *)
-    let dval i = Array1.unsafe_get buf (o + 1 + (i lsr 2)) lsr (15 * (i land 3)) land 0x7FFF in
-    let v = dval pos in
-    let j = ref (pos + 1) in
-    while !j < t.dim && dval !j = v do
-      incr j
-    done;
-    (!j - 1, v)
-  end
-  else begin
-    (* find the first run with hi >= pos *)
-    let hi = ref (t.dim - 1) in
-    let v = ref 0 in
-    (try
-       for k = 0 to r - 1 do
-         let p = o + 1 + (3 * k) in
-         let rlo = Array1.unsafe_get buf p in
-         let rhi = Array1.unsafe_get buf (p + 1) in
-         if pos < rlo then begin
-           (* inside the zero gap before run k *)
-           hi := rlo - 1;
-           v := 0;
-           raise Exit
-         end
-         else if pos <= rhi then begin
-           hi := rhi;
-           v := Array1.unsafe_get buf (p + 2);
-           raise Exit
-         end
-       done
-       (* past the last run: zero to the end *)
-     with Exit -> ());
-    (!hi, !v)
-  end
-
-let leq t ha hb =
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok && !pos < t.dim do
-    let hi_a, va = seg_at t ha !pos in
-    let hi_b, vb = seg_at t hb !pos in
-    if va > vb then ok := false
-    else pos := min hi_a hi_b + 1
-  done;
-  !ok
-
-let equal t ha hb =
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok && !pos < t.dim do
-    let hi_a, va = seg_at t ha !pos in
-    let hi_b, vb = seg_at t hb !pos in
-    if va <> vb then ok := false else pos := min hi_a hi_b + 1
-  done;
-  !ok
-
-(* Sweep both snapshots, building max-runs into [runbuf]; encode the
-   result as a fresh snapshot. O(ra + rb) sweep steps. *)
-let merge_runs t ha hb =
-  let rb = t.runbuf in
-  let n = ref 0 in
-  let pos = ref 0 in
-  while !pos < t.dim do
-    let hi_a, va = seg_at t ha !pos in
-    let hi_b, vb = seg_at t hb !pos in
-    let hi = min hi_a hi_b in
-    let v = max va vb in
-    if !n > 0 && rb.((3 * (!n - 1)) + 2) = v && rb.((3 * (!n - 1)) + 1) = !pos - 1 then
-      rb.((3 * (!n - 1)) + 1) <- hi  (* coalesce with the previous run *)
-    else begin
-      rb.(3 * !n) <- !pos;
-      rb.((3 * !n) + 1) <- hi;
-      rb.((3 * !n) + 2) <- v;
-      incr n
-    end;
-    pos := hi + 1
-  done;
-  !n
-
-(* value at [i] of the run list prefix built by [merge_runs] *)
-let runs_read rb n i =
-  let v = ref 0 in
-  (try
-     for k = 0 to n - 1 do
-       let lo = rb.(3 * k) in
-       if i < lo then raise Exit;
-       if i <= rb.((3 * k) + 1) then begin
-         v := rb.((3 * k) + 2);
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !v
-
-let merge t ha hb =
-  let n = merge_runs t ha hb in
-  let rb = t.runbuf in
-  encode_with t (fun i -> runs_read rb n i)
-
-let tick_merge t ha hb ~trace =
-  (* merge then tick the owner entry: the timestamp of a receive on
-     [trace] whose local past is [ha] and whose message carried [hb] *)
-  let n = merge_runs t ha hb in
-  let rb = t.runbuf in
-  let own = read t ha ~entry:trace + 1 in
-  encode_with t (fun i -> if i = trace then own else runs_read rb n i)
-
-let runs t h =
-  let r = Array1.get (chunk_of t h) (h land chunk_mask) in
-  if r < 0 then -1 else r
-
-let pp ppf (t, h) =
-  Format.fprintf ppf "<%a>"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    (to_array t h)
+  let x = ref 0 in
+  for i = 0 to t.dim - 1 do
+    x := if i land last = 0 then Array1.unsafe_get buf (o + (i lsr s)) else !x lsr width;
+    let v = !x land mask in
+    if v > Array.unsafe_get t.cur (base + i) then Array.unsafe_set t.cur (base + i) v
+  done

@@ -31,9 +31,9 @@ type t = {
      timestamp, and whether it overtook an earlier id on arrival *)
   pending : (int, Wire.t * float * bool) Hashtbl.t;
   skipped : (int, unit) Hashtbl.t;  (* ids given up on; a late arrival is not a duplicate *)
-  (* msg ids whose send was admitted: a byte-map for the dense id range
-     (grown on demand, one lookup per receive on the hot path), a
-     hashtable for spill-range ids *)
+  (* msg ids whose send was admitted and not yet received: a byte-map
+     for the dense id range (grown on demand, one lookup per receive on
+     the hot path), a hashtable for spill-range ids *)
   mutable sent_dense : Bytes.t;
   sent_spill : (int, unit) Hashtbl.t;
   expected_seq : int array;  (* next local-clock position per trace *)
@@ -97,14 +97,24 @@ let mark_sent t msg =
   end
   else Hashtbl.replace t.sent_spill msg ()
 
-let was_sent t msg =
-  if msg >= 0 && msg < dense_cap then
-    msg < Bytes.length t.sent_dense && Bytes.unsafe_get t.sent_dense msg <> '\000'
-  else Hashtbl.mem t.sent_spill msg
+(* Clear [msg]'s send mark; true if it was set. A receive consumes its
+   send, as POET does, so a second receive of one message is an orphan. *)
+let take_sent t msg =
+  if msg >= 0 && msg < dense_cap then begin
+    let set = msg < Bytes.length t.sent_dense && Bytes.unsafe_get t.sent_dense msg <> '\000' in
+    if set then Bytes.unsafe_set t.sent_dense msg '\000';
+    set
+  end
+  else begin
+    let set = Hashtbl.mem t.sent_spill msg in
+    Hashtbl.remove t.sent_spill msg;
+    set
+  end
 
 (* Release one in-order frame. The local-clock jump check attributes
-   gap losses to traces, and orphaned receives — whose send was lost —
-   are dropped here so POET never sees an unknown message. *)
+   gap losses to traces, and orphaned receives — whose send was lost or
+   already received — are dropped here so POET never sees an unknown
+   message. *)
 let release t (e : Wire.t) at_us was_buffered =
   let tr = e.Wire.trace in
   if e.Wire.seq > t.expected_seq.(tr) then
@@ -120,7 +130,7 @@ let release t (e : Wire.t) at_us was_buffered =
     mark_sent t msg;
     t.admitted <- t.admitted + 1;
     t.emit ~verdict ~decode_us:at_us ~admit_us e
-  | Event.Receive { msg } when not (was_sent t msg) ->
+  | Event.Receive { msg } when not (take_sent t msg) ->
     t.orphan_receives <- t.orphan_receives + 1;
     t.on_drop Orphaned e.Wire.id
   | Event.Receive _ | Event.Internal ->

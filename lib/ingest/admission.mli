@@ -27,7 +27,9 @@
     After a skip, the per-trace local clocks jump; POET tolerates index
     gaps, but a receive whose send was in the lost range would make
     [ingest] raise, so such orphaned receives are dropped and counted
-    ([orphan_receives]) rather than crashing the engine. *)
+    ([orphan_receives]) rather than crashing the engine. A receive
+    consumes its send, so a second receive of the same message id is
+    an orphan too. *)
 
 type gap_policy =
   | Wait
@@ -51,7 +53,7 @@ type stats = {
   max_depth : int;  (** peak reorder-buffer occupancy *)
   gaps : int;  (** ids given up on *)
   trace_gaps : int array;  (** per-trace events lost to gaps, attributed at the local-clock jump *)
-  orphan_receives : int;  (** receives dropped because their send fell into a gap *)
+  orphan_receives : int;  (** receives dropped because their send fell into a gap or was already received *)
 }
 
 exception Gap of string

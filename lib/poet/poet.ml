@@ -89,7 +89,7 @@ let create ?(retain = false) ?(partner_index = true) ~trace_names () =
     retain;
     partner_index;
     arena = Arena.create ();
-    vcs = Vc_pool.create ~dim:n ();
+    vcs = Vc_pool.create ~dim:n;
     msg_vch = A1.create Bigarray.int Bigarray.c_layout 0;
     msg_send = A1.create Bigarray.int Bigarray.c_layout 0;
     msg_recv = A1.create Bigarray.int Bigarray.c_layout 0;
@@ -272,10 +272,10 @@ let ingest_flat t (raw : Event.raw) =
       (* merge then tick: the sender's knowledge of [tr] can only lag
          the live row (its events were ingested earlier), so the merge
          never touches the own entry and the tick lands on own+1 —
-         exactly [Vclock.tick_merge]. [recv_update] fuses all three
-         steps into one row pass. *)
-      let h = Vc_pool.recv_update t.vcs ~trace:tr sent in
-      (Arena.k_recv, msg, h, Vc_pool.get t.vcs ~trace:tr ~entry:tr)
+         exactly [Vclock.tick_merge]. *)
+      Vc_pool.merge_into t.vcs ~trace:tr sent;
+      let idx = Vc_pool.tick t.vcs ~trace:tr in
+      (Arena.k_recv, msg, Vc_pool.snapshot t.vcs ~trace:tr, idx)
     | Event.Internal ->
       let idx = Vc_pool.tick t.vcs ~trace:tr in
       (Arena.k_internal, -1, Vc_pool.nil, idx)

@@ -44,8 +44,8 @@ val arena : t -> Arena.t
 
 val vc_pool : t -> Vc_pool.t
 (** The clock pool backing this POET: live per-trace rows plus the
-    interval-compressed snapshots referenced by the arena's [vch]
-    column. Read-only for clients. *)
+    lane-packed snapshots referenced by the arena's [vch] column.
+    Read-only for clients. *)
 
 val clock_entry : t -> trace:int -> entry:int -> int
 (** One entry of a trace's live clock — [entry]'s index in the causal

@@ -33,7 +33,8 @@ val is_control : Wire.t -> bool
     identifies the tenant; [quota]/[policy] lower the server's
     per-tenant in-flight quota or choose its enforcement policy for this
     session (a request {e above} the server's cap is refused with
-    [Quota_exceeded]). [Attach] registers a pattern from source text at
+    [Quota_exceeded], as is a stream header naming more than 1,024
+    traces). [Attach] registers a pattern from source text at
     runtime and answers its pattern id; [Detach] removes one by id or by
     the name given at attach. [Stats] answers live counters plus the
     report digest; [Drain] flushes admission, freezes the stream and

@@ -308,17 +308,24 @@ let stream srv t reader =
   flush ();
   ignore (Bqueue.push sh.s_q (Bye t))
 
+(* POET keeps one live clock row per trace, each as long as the trace
+   table: 8 MB of rows at this cap *)
+let max_traces = 1024
+
 let hello srv ~traces ~wr = function
   | Control.Hello { tenant = name; quota; policy } -> (
     let cfg = srv.cfg in
     let policy = Option.value policy ~default:cfg.quota_policy in
     let quota_r =
-      match quota with
-      | None -> Result.Ok cfg.tenant_quota
-      | Some q when q > cfg.tenant_quota ->
-        Result.Error
-          (Error.Quota_exceeded { tenant = name; what = "events"; limit = cfg.tenant_quota })
-      | Some q -> Result.Ok q
+      if Array.length traces > max_traces then
+        Result.Error (Error.Quota_exceeded { tenant = name; what = "traces"; limit = max_traces })
+      else
+        match quota with
+        | None -> Result.Ok cfg.tenant_quota
+        | Some q when q > cfg.tenant_quota ->
+          Result.Error
+            (Error.Quota_exceeded { tenant = name; what = "events"; limit = cfg.tenant_quota })
+        | Some q -> Result.Ok q
     in
     match quota_r with
     | Result.Error _ as e -> e

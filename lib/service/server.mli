@@ -26,7 +26,10 @@
     degrading {e only} that tenant: its record-id gaps are absorbed by
     its own admission layer's [Skip] policy. [Hello] may lower the quota
     or switch the policy per session; raising it above the server cap is
-    refused with [Quota_exceeded].
+    refused with [Quota_exceeded]. So is a stream header naming more
+    than {!max_traces} traces: a tenant's POET holds a live clock row
+    per trace as long as the trace table, so its memory grows with the
+    square of the trace count.
 
     {b Control.} ATTACH/DETACH/STATS/DRAIN frames are routed through the
     same shard queue as the tenant's data, so a control edit takes
@@ -66,6 +69,9 @@ val default_config : config
 (** 127.0.0.1:0, 2 shards, quota 4096 [Block], admission [Skip 64] with
     the default window (a quota shed must not wedge the tenant's own
     stream on [Wait]), 64 patterns, no metrics endpoint. *)
+
+val max_traces : int
+(** 1024: the most traces a tenant's stream header may name. *)
 
 type t
 

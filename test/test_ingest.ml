@@ -386,6 +386,30 @@ let wait_flushes_at_finish () =
      jump to attribute the loss at *)
   checki "no jump to charge" 0 (Array.fold_left ( + ) 0 st.Admission.trace_gaps)
 
+(* A receive consumes its send: a second receive of one message id is
+   orphaned, as if its send were lost, so POET never sees it; a later
+   send of the same id may be received again. *)
+let second_receive_orphaned () =
+  let frame id trace seq kind = { Wire.id; trace; seq; etype = "m"; text = ""; kind } in
+  let frames =
+    [
+      frame 0 0 1 (Event.Send { msg = 5 });
+      frame 1 1 1 (Event.Receive { msg = 5 });
+      frame 2 1 2 (Event.Receive { msg = 5 });
+      frame 3 0 2 (Event.Send { msg = 5 });
+      frame 4 1 3 (Event.Receive { msg = 5 });
+      frame 5 0 3 (Event.Send { msg = Poet.dense_capacity });
+      frame 6 1 4 (Event.Receive { msg = Poet.dense_capacity });
+      frame 7 1 5 (Event.Receive { msg = Poet.dense_capacity });
+    ]
+  in
+  let out, st = collect_admission ~n_traces:2 frames in
+  check "second receives dropped" true
+    (List.map (fun w -> w.Wire.id) out = [ 0; 1; 3; 4; 5; 6 ]);
+  checki "two orphans" 2 st.Admission.orphan_receives;
+  let poet = Poet.create ~trace_names:[| "P0"; "P1" |] () in
+  List.iter (fun w -> ignore (Poet.ingest_flat poet (Wire.to_raw w) : int)) out
+
 let trace_gap_attributed_at_jump () =
   let e id seq = { Wire.id; trace = 0; seq; etype = "x"; text = ""; kind = Event.Internal } in
   (* id 1 (seq 2) lost; the survivor with seq 3 reveals the jump *)
@@ -715,6 +739,7 @@ let () =
           Alcotest.test_case "restores exact order" `Quick admission_restores_order;
           Alcotest.test_case "suppresses duplicates" `Quick admission_suppresses_duplicates;
           Alcotest.test_case "skip drops orphan receive" `Quick skip_drops_orphan_receive;
+          Alcotest.test_case "second receive is orphaned" `Quick second_receive_orphaned;
           Alcotest.test_case "wait flushes at finish" `Quick wait_flushes_at_finish;
           Alcotest.test_case "trace gap attributed at jump" `Quick trace_gap_attributed_at_jump;
           Alcotest.test_case "fail raises on loss" `Quick fail_raises_on_loss;

@@ -373,6 +373,82 @@ let drained_after_drain () =
   checks "digest stable after drain" st.Control.digest st2.Control.digest
 
 (* ------------------------------------------------------------------ *)
+(* Hostile tenants cannot take a shard down                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] on a thread and wait at most [seconds] for it: a shard that
+   died would leave a control call blocked forever. *)
+let within ~seconds what f =
+  let r = Atomic.make None in
+  let th = Thread.create (fun () -> Atomic.set r (Some (try Ok (f ()) with e -> Error e))) () in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get r = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  match Atomic.get r with
+  | Some (Ok v) ->
+    Thread.join th;
+    v
+  | Some (Error e) -> raise e
+  | None -> Alcotest.failf "%s: no answer within %.0f s" what seconds
+
+(* A second receive of one message reaches neither POET nor the shard:
+   admission drops it as an orphan, and a bystander on the same shard
+   keeps getting answers. *)
+let duplicate_receive_isolated () =
+  let traces = [| "P0"; "P1" |] in
+  let config = { Server.default_config with Server.shards = 1 } in
+  with_server ~config @@ fun srv ->
+  let by = connect srv ~tenant:"bystander" ~traces () in
+  Fun.protect ~finally:(fun () -> Client.close by) @@ fun () ->
+  let c = connect srv ~tenant:"hostile" ~traces () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let frame id trace seq kind = { Wire.id; trace; seq; etype = "m"; text = ""; kind } in
+  stream_frames c
+    [
+      frame 0 0 1 (Event.Send { msg = 5 });
+      frame 1 1 1 (Event.Receive { msg = 5 });
+      frame 2 1 2 (Event.Receive { msg = 5 });
+    ];
+  let st = ok_or_fail "hostile stats" (within ~seconds:10. "hostile STATS" (fun () -> Client.stats c)) in
+  checki "three frames seen" 3 st.Control.frames;
+  checki "the second receive dropped" 2 st.Control.admitted;
+  ignore (ok_or_fail "bystander stats" (within ~seconds:10. "bystander STATS" (fun () -> Client.stats by)))
+
+(* A stream header naming more than [Server.max_traces] traces is
+   refused at HELLO, before its tenant's clock rows are allocated; a
+   tenant streaming meanwhile is untouched. *)
+let trace_cap_at_hello () =
+  let w = Cases.make "races" ~traces:4 ~seed:41 ~max_events:1200 in
+  with_temp @@ fun path ->
+  record_to ~path w;
+  let net = Compile.compile (Parser.parse w.Workload.pattern) in
+  let oracle = oracle_digest ~patterns:[ net ] path in
+  let traces, frames = read_stream path in
+  let half = List.length frames / 2 in
+  with_server @@ fun srv ->
+  let by = connect srv ~tenant:"bystander" ~traces () in
+  Fun.protect ~finally:(fun () -> Client.close by) @@ fun () ->
+  ignore (ok_or_fail "attach" (Client.attach by ~name:"p" ~source:w.Workload.pattern));
+  List.iteri (fun i f -> if i < half then Client.send by f) frames;
+  let names n = Array.init n (Printf.sprintf "T%d") in
+  (match
+     Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) ~tenant:"wide"
+       ~traces:(names (Server.max_traces + 1)) ()
+   with
+  | Result.Error (Ocep_error.Quota_exceeded { what = "traces"; limit; _ }) ->
+    checki "limit named" Server.max_traces limit
+  | Result.Error e -> Alcotest.failf "wide header: %s" (Ocep_error.to_string e)
+  | Result.Ok c ->
+    Client.close c;
+    Alcotest.fail "a header above the trace cap was accepted");
+  Client.close (connect srv ~tenant:"widest allowed" ~traces:(names Server.max_traces) ());
+  List.iteri (fun i f -> if i >= half then Client.send by f) frames;
+  let st = ok_or_fail "drain" (Client.drain by) in
+  checki "bystander admitted everything" (List.length frames) st.Control.admitted;
+  checks "bystander digest matches a dedicated engine" oracle st.Control.digest
+
+(* ------------------------------------------------------------------ *)
 (* Error and control codecs                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -512,11 +588,13 @@ let () =
           Alcotest.test_case "two tenants, digest parity" `Quick two_tenant_parity;
           Alcotest.test_case "quota shed isolates" `Quick quota_shed_isolated;
           Alcotest.test_case "attach/detach mid-stream" `Quick attach_detach_midstream;
+          Alcotest.test_case "duplicate receive isolated" `Quick duplicate_receive_isolated;
         ] );
       ( "errors",
         [
           Alcotest.test_case "typed errors over the wire" `Quick wire_errors;
           Alcotest.test_case "drain freezes the stream" `Quick drained_after_drain;
+          Alcotest.test_case "trace cap at hello" `Quick trace_cap_at_hello;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "per-tenant metrics endpoint" `Quick metrics_endpoint ] );

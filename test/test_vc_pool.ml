@@ -1,159 +1,42 @@
-(* Property suite: the interval-compressed pool against the dense
-   reference.
+(* Property suite: the lane-packed pool against the dense reference.
 
    Every Vc_pool operation must be observably identical to the
-   allocating Vclock it replaces, whatever encoding a snapshot landed
-   in — interval runs, packed dense (two 31-bit values per word) or
-   unpacked dense.  The generators are therefore biased toward the
-   encoder's decision boundaries: clocks built from few long runs
-   (stays compressed), clocks with run counts straddling the
-   [max_runs] fallback threshold, runs that end exactly at the last
-   trace, single-entry runs, zero gaps, and values at/above 2^31
-   (which disqualify the packed form pool-wide). *)
+   allocating Vclock it replaces, whatever lane width a snapshot was
+   written at. Random schedules check the 15-bit lanes most streams
+   use, a deterministic march across 2^15 checks the switch to 31-bit
+   lanes, and an 8-trace races stream pins the words each snapshot
+   costs on both sides of that switch. *)
 
 module Vclock = Ocep_base.Vclock
 module Vc_pool = Ocep_base.Vc_pool
 module Prng = Ocep_base.Prng
+module Event = Ocep_base.Event
+module Arena = Ocep_base.Arena
+module Sim = Ocep_sim.Sim
+module Poet = Ocep_poet.Poet
+module Workload = Ocep_workloads.Workload
+module Cases = Ocep_harness.Cases
 
 let check = Alcotest.(check bool)
-
-(* ------------------------------------------------------------------ *)
-(* Generators                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A dense clock of dimension [dim] assembled from value runs.  Values
-   of 0 leave gaps (uncovered traces); [big] mixes in values >= 2^31
-   to force the unpacked dense path. *)
-let run_shaped_clock ?(big = false) dim st =
-  let a = Array.make dim 0 in
-  let pos = ref 0 in
-  while !pos < dim do
-    (* short runs push past max_runs; long runs stay compressed *)
-    let len = 1 + QCheck.Gen.int_bound (max 1 (dim - !pos - 1)) st in
-    let len = min len (dim - !pos) in
-    let v =
-      match QCheck.Gen.int_bound 9 st with
-      | 0 | 1 -> 0 (* gap *)
-      | 2 when big -> (1 lsl 31) + QCheck.Gen.int_bound 1000 st
-      | n -> n * (1 + QCheck.Gen.int_bound 50 st)
-    in
-    for i = !pos to !pos + len - 1 do
-      a.(i) <- v
-    done;
-    pos := !pos + len
-  done;
-  a
-
-let clock_pair_gen st =
-  let dim = 1 + QCheck.Gen.int_bound 15 st in
-  let big = QCheck.Gen.bool st in
-  (dim, run_shaped_clock ~big dim st, run_shaped_clock ~big dim st)
-
-let clock_pair_arb =
-  QCheck.make
-    ~print:(fun (dim, a, b) ->
-      Printf.sprintf "dim=%d a=%s b=%s" dim
-        (QCheck.Print.(array int) a)
-        (QCheck.Print.(array int) b))
-    clock_pair_gen
-
-let pmax = Array.map2 max
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot-level operations vs dense arrays                           *)
-(* ------------------------------------------------------------------ *)
-
-let roundtrip_prop =
-  QCheck.Test.make ~name:"encode/to_array roundtrip over run-shaped clocks" ~count:1000
-    clock_pair_arb (fun (dim, a, b) ->
-      let p = Vc_pool.create ~dim () in
-      let ha = Vc_pool.encode p a and hb = Vc_pool.encode p b in
-      Vc_pool.to_array p ha = a && Vc_pool.to_array p hb = b
-      && Array.init dim (fun i -> Vc_pool.read p ha ~entry:i) = a)
-
-let leq_equal_prop =
-  QCheck.Test.make ~name:"leq/equal agree with pointwise dense comparison" ~count:1000
-    clock_pair_arb (fun (_, a, b) ->
-      let p = Vc_pool.create ~dim:(Array.length a) () in
-      let ha = Vc_pool.encode p a and hb = Vc_pool.encode p b in
-      Vc_pool.leq p ha hb = Array.for_all2 ( >= ) b a
-      && Vc_pool.leq p hb ha = Array.for_all2 ( >= ) a b
-      && Vc_pool.leq p ha ha
-      && Vc_pool.equal p ha hb = (a = b))
-
-let merge_prop =
-  QCheck.Test.make ~name:"merge agrees with pointwise max" ~count:1000 clock_pair_arb
-    (fun (_, a, b) ->
-      let p = Vc_pool.create ~dim:(Array.length a) () in
-      let ha = Vc_pool.encode p a and hb = Vc_pool.encode p b in
-      Vc_pool.to_array p (Vc_pool.merge p ha hb) = pmax a b)
-
-let tick_merge_prop =
-  QCheck.Test.make ~name:"tick_merge agrees with Vclock.tick_merge" ~count:1000
-    QCheck.(pair clock_pair_arb (int_bound 1000))
-    (fun ((dim, a, b), tr) ->
-      let tr = tr mod dim in
-      let p = Vc_pool.create ~dim () in
-      let ha = Vc_pool.encode p a and hb = Vc_pool.encode p b in
-      let expect =
-        Vclock.to_array (Vclock.tick_merge (Vclock.of_array a) (Vclock.of_array b) ~trace:tr)
-      in
-      Vc_pool.to_array p (Vc_pool.tick_merge p ha hb ~trace:tr) = expect)
-
-(* boundary shapes the random generator only rarely lands on exactly *)
-let boundary_cases () =
-  let cases =
-    [
-      [| 0; 0; 0; 0 |] (* all gaps *);
-      [| 5; 5; 5; 5 |] (* one full-width run *);
-      [| 1; 2; 3; 4 |] (* every entry its own run: forced dense *);
-      [| 0; 0; 0; 7 |] (* run ending exactly at the last trace *);
-      [| 7; 0; 0; 0 |] (* run starting at trace 0 *);
-      [| 1 lsl 31; 1; 1; 1 |] (* big value: unpacked dense *);
-      [| (1 lsl 31) - 1; 1; 1; 1 |] (* largest packable value *);
-      [| 3 |] (* dim = 1 *);
-    ]
-  in
-  List.iter
-    (fun a ->
-      let dim = Array.length a in
-      let p = Vc_pool.create ~dim () in
-      let h = Vc_pool.encode p a in
-      check (Printf.sprintf "roundtrip %s" (QCheck.Print.(array int) a)) true
-        (Vc_pool.to_array p h = a);
-      let m = Vc_pool.merge p h h in
-      check "self-merge is identity" true (Vc_pool.to_array p m = a);
-      check "self-leq" true (Vc_pool.leq p h h && Vc_pool.equal p h m))
-    cases
-
-(* run counts straddling the fallback threshold: d distinct values over
-   dimension d, sliced so the run count walks 1 .. d *)
-let fallback_threshold () =
-  let dim = 12 in
-  for nruns = 1 to dim do
-    let a = Array.init dim (fun i -> 1 + (i * nruns / dim)) in
-    let p = Vc_pool.create ~dim () in
-    let h = Vc_pool.encode p a in
-    check (Printf.sprintf "threshold roundtrip (%d runs)" nruns) true
-      (Vc_pool.to_array p h = a);
-    (* the encoder may pick runs or dense, but never a lying run count *)
-    let r = Vc_pool.runs p h in
-    check "runs consistent with is_dense" true (Vc_pool.is_dense p h = (r = -1))
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Live-row evolution vs a Vclock reference model                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A receive as POET stamps it: merge the sender's snapshot, tick, and
+   freeze the result. *)
+let receive pool ~trace h =
+  Vc_pool.merge_into pool ~trace h;
+  ignore (Vc_pool.tick pool ~trace : int);
+  Vc_pool.snapshot pool ~trace
+
 (* Drive a pool and an array of persistent Vclocks through the same
    random tick / send / receive schedule — the exact shape of the POET
-   ingest loop, including [recv_update]'s fused merge+tick+snapshot —
-   and require every snapshot and every live row to agree.  Long
-   schedules push traces over the dense-fallback threshold and back,
-   exercising the per-trace dense hint. *)
+   ingest loop — and require every snapshot and every live row to
+   agree. *)
 let evolution_agrees ~dim ~events ~seed =
   let prng = Prng.create seed in
-  let pool = Vc_pool.create ~dim () in
+  let pool = Vc_pool.create ~dim in
   let refs = Array.init dim (fun _ -> Vclock.make ~dim) in
   let pending = ref [] in (* (handle, reference clock) of unreceived sends *)
   let ok = ref true in
@@ -174,12 +57,12 @@ let evolution_agrees ~dim ~events ~seed =
       agree h refs.(tr);
       pending := (h, refs.(tr)) :: !pending
     | _ -> (
-      (* receive (if something is pending): the fused hot path *)
+      (* receive, if something is pending *)
       match !pending with
       | [] -> ()
       | (h, sent) :: rest ->
         pending := rest;
-        let hh = Vc_pool.recv_update pool ~trace:tr h in
+        let hh = receive pool ~trace:tr h in
         refs.(tr) <- Vclock.tick_merge refs.(tr) sent ~trace:tr;
         agree hh refs.(tr);
         if Vc_pool.get pool ~trace:tr ~entry:tr <> Vclock.get refs.(tr) tr then ok := false)
@@ -190,7 +73,7 @@ let evolution_agrees ~dim ~events ~seed =
   !ok
 
 let evolution_prop =
-  QCheck.Test.make ~name:"pool evolution matches Vclock model (fused receive)" ~count:60
+  QCheck.Test.make ~name:"pool evolution matches Vclock model (for random schedules)" ~count:60
     QCheck.(triple (int_range 1 24) (int_range 10 800) (int_bound 1_000_000))
     (fun (dim, events, seed) -> evolution_agrees ~dim ~events ~seed)
 
@@ -202,18 +85,16 @@ let evolution_long () =
         (evolution_agrees ~dim ~events ~seed))
     [ (1, 2000, 1); (2, 2000, 2); (20, 20_000, 2013); (50, 10_000, 7); (64, 5000, 11) ]
 
-(* Drive a live value across the 15-bit quad-packed lane limit (2^15):
-   the pool-wide [wide_vals] flag must retire the -3 form for every
-   later dense snapshot while old -3 snapshots stay readable.  Two
-   traces ping-pong sends so both the send ([snapshot]) and the receive
-   ([recv_update]) sides cross the boundary under the dense hint, with
+(* Drive a live value across the 15-bit lane limit (2^15): every later
+   snapshot must switch to 31-bit lanes while the 15-bit snapshots
+   written before stay readable and mergeable. Two traces ping-pong
+   sends so both the send and the receive side cross the boundary, with
    reference clocks checked on both sides throughout the window. *)
 let wide_boundary () =
   let dim = 6 in
-  let pool = Vc_pool.create ~dim () in
+  let pool = Vc_pool.create ~dim in
   let refs = Array.init dim (fun _ -> Vclock.make ~dim) in
-  (* push every trace over the dense-fallback threshold so snapshots
-     take the hinted packed forms *)
+  (* 15-bit snapshots of every trace, each received by every peer *)
   let early = ref [] in
   for tr = 0 to dim - 1 do
     for _ = 1 to 1 + tr do
@@ -224,15 +105,19 @@ let wide_boundary () =
     early := (h, Vclock.to_array refs.(tr)) :: !early;
     for peer = 0 to dim - 1 do
       if peer <> tr then begin
-        let hh = Vc_pool.recv_update pool ~trace:peer h in
+        let hh = receive pool ~trace:peer h in
         refs.(peer) <- Vclock.tick_merge refs.(peer) refs.(tr) ~trace:peer;
         if Vc_pool.to_array pool hh <> Vclock.to_array refs.(peer) then
           Alcotest.failf "setup receive diverged at trace %d <- %d" peer tr
       end
     done
   done;
+  (* one message stays in flight across the switch *)
+  ignore (Vc_pool.tick pool ~trace:2 : int);
+  refs.(2) <- Vclock.tick refs.(2) ~trace:2;
+  let in_flight = Vc_pool.snapshot pool ~trace:2 and in_flight_ref = refs.(2) in
   (* march trace 0's own entry across 32768, ping-ponging with trace 1
-     so packed sends and fused receives straddle the crossing *)
+     so sends and receives straddle the crossing *)
   let target = 33_000 in
   while Vc_pool.get pool ~trace:0 ~entry:0 < target do
     for _ = 1 to 97 do
@@ -244,35 +129,65 @@ let wide_boundary () =
     let h = Vc_pool.snapshot pool ~trace:0 in
     if Vc_pool.to_array pool h <> Vclock.to_array refs.(0) then
       Alcotest.failf "send snapshot diverged at own=%d" (Vc_pool.get pool ~trace:0 ~entry:0);
-    let hh = Vc_pool.recv_update pool ~trace:1 h in
+    let hh = receive pool ~trace:1 h in
     refs.(1) <- Vclock.tick_merge refs.(1) refs.(0) ~trace:1;
     if Vc_pool.to_array pool hh <> Vclock.to_array refs.(1) then
       Alcotest.failf "receive diverged at own=%d" (Vc_pool.get pool ~trace:0 ~entry:0)
   done;
-  (* snapshots written before the flag flipped must still decode *)
+  (* snapshots written before the switch must still decode and merge *)
   List.iter
     (fun (h, expect) ->
       if Vc_pool.to_array pool h <> expect then
         Alcotest.fail "pre-boundary snapshot no longer decodes")
     !early;
+  let hh = receive pool ~trace:3 in_flight in
+  refs.(3) <- Vclock.tick_merge refs.(3) in_flight_ref ~trace:3;
+  if Vc_pool.to_array pool hh <> Vclock.to_array refs.(3) then
+    Alcotest.fail "a message sent before the switch and received after it diverged";
   check "crossed the lane limit" true (Vc_pool.get pool ~trace:0 ~entry:0 >= 32_768)
+
+(* ------------------------------------------------------------------ *)
+(* Footprint                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* An 8-trace races stream long enough that its busiest trace passes
+   32767 events. Every snapshot is one header word plus the row's eight
+   entries in 15-bit lanes (two words) until the first tick past 2^15,
+   and in 31-bit lanes (four words) from then on; internal events write
+   nothing. *)
+let races_footprint () =
+  let w = Cases.make "races" ~traces:8 ~seed:1 ~max_events:150_000 in
+  let poet = Poet.create ~trace_names:(Sim.trace_names w.Workload.sim_config) () in
+  let pool = Poet.vc_pool poet in
+  let wide = ref false and narrow = ref 0 and wider = ref 0 in
+  let sink (raw : Event.raw) =
+    let before = Vc_pool.words pool in
+    let eid = Poet.ingest_flat poet raw in
+    if Arena.index (Poet.arena poet) eid > 32_767 then wide := true;
+    let expect =
+      match raw.Event.r_kind with
+      | Event.Internal -> 0
+      | Event.Send _ | Event.Receive _ ->
+        if !wide then incr wider else incr narrow;
+        if !wide then 5 else 3
+    in
+    let got = Vc_pool.words pool - before in
+    if got <> expect then
+      Alcotest.failf "event %d (trace %d index %d): %d clock words, want %d" eid
+        raw.Event.r_trace (Arena.index (Poet.arena poet) eid) got expect
+  in
+  ignore (Sim.run w.Workload.sim_config ~sink ~bodies:w.Workload.bodies : Sim.stats);
+  check "snapshots on both sides of the switch" true (!narrow > 0 && !wider > 0)
 
 let () =
   Alcotest.run "vc_pool"
     [
-      ( "snapshots",
-        [
-          QCheck_alcotest.to_alcotest roundtrip_prop;
-          QCheck_alcotest.to_alcotest leq_equal_prop;
-          QCheck_alcotest.to_alcotest merge_prop;
-          QCheck_alcotest.to_alcotest tick_merge_prop;
-          Alcotest.test_case "boundary shapes" `Quick boundary_cases;
-          Alcotest.test_case "fallback threshold" `Quick fallback_threshold;
-        ] );
       ( "evolution",
         [
           QCheck_alcotest.to_alcotest evolution_prop;
           Alcotest.test_case "long schedules" `Quick evolution_long;
           Alcotest.test_case "15-bit lane boundary" `Quick wide_boundary;
         ] );
+      ( "footprint",
+        [ Alcotest.test_case "races, 8 traces: 3 then 5 words a snapshot" `Quick races_footprint ] );
     ]
